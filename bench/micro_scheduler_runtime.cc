@@ -9,6 +9,9 @@
 // (items_per_second) for a generated batch at 1/2/4/8 worker threads —
 // the speedup column of the ROADMAP's throughput story — and
 // BM_BatchSchedule_NoCache isolates the memoized parallelize cache.
+// BM_TreeScheduleToJson times the serialize layer alone (the schedule JSON
+// a served request carries), the micro counterpart of perfbench's traced
+// io.serialize_ms.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +19,7 @@
 #include "core/operator_schedule.h"
 #include "core/tree_schedule.h"
 #include "exec/batch_scheduler.h"
+#include "io/schedule_export.h"
 #include "workload/experiment.h"
 
 namespace mrs {
@@ -59,6 +63,44 @@ BENCHMARK(BM_TreeSchedule)
     ->Args({40, 16})
     ->Args({40, 64})
     ->Args({40, 140});
+
+void BM_TreeScheduleToJson(benchmark::State& state) {
+  const int joins = static_cast<int>(state.range(0));
+  const int sites = static_cast<int>(state.range(1));
+  ExperimentConfig config = ConfigFor(joins, sites);
+  auto artifacts = PrepareQuery(config, 0);
+  if (!artifacts.ok()) {
+    state.SkipWithError("query preparation failed");
+    return;
+  }
+  const OverlapUsageModel usage(config.overlap);
+  TreeScheduleOptions options;
+  options.granularity = config.granularity;
+  auto result = TreeSchedule(artifacts->op_tree, artifacts->task_tree,
+                             artifacts->costs, config.cost, config.machine,
+                             usage, options);
+  if (!result.ok()) {
+    state.SkipWithError("TreeSchedule failed");
+    return;
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string json = TreeScheduleToJson(*result);
+    bytes = json.size();
+    benchmark::DoNotOptimize(json.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+  state.counters["kb"] = static_cast<double>(bytes) / 1024.0;
+  state.SetLabel("J=" + std::to_string(joins) +
+                 " P=" + std::to_string(sites));
+}
+BENCHMARK(BM_TreeScheduleToJson)
+    ->Args({10, 32})
+    ->Args({10, 140})
+    ->Args({40, 32})
+    ->Args({40, 140})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_TreeScheduleMalleable(benchmark::State& state) {
   const int joins = static_cast<int>(state.range(0));

@@ -1,0 +1,77 @@
+#include "common/json_writer.h"
+
+#include <charconv>
+#include <cmath>
+
+namespace mrs {
+
+namespace {
+
+// "%.6f" of DBL_MAX is 309 integer digits, the point, six decimals and a
+// sign: 317 characters.
+constexpr size_t kFixed6Max = 320;
+
+}  // namespace
+
+JsonWriter& JsonWriter::Int(int64_t v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+  out_->append(buf, r.ptr);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Uint(uint64_t v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+  out_->append(buf, r.ptr);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Fixed6(double v) {
+  if (!std::isfinite(v)) {
+    ok_ = false;
+    out_->append("null");
+    return *this;
+  }
+  char buf[kFixed6Max];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::fixed, 6);
+  out_->append(buf, r.ptr);
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out_->push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out_->append("\\\"");
+        break;
+      case '\\':
+        out_->append("\\\\");
+        break;
+      case '\n':
+        out_->append("\\n");
+        break;
+      case '\r':
+        out_->append("\\r");
+        break;
+      case '\t':
+        out_->append("\\t");
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          const char esc[] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xf],
+                              kHex[c & 0xf]};
+          out_->append(esc, sizeof(esc));
+        } else {
+          out_->push_back(c);
+        }
+    }
+  }
+  out_->push_back('"');
+  return *this;
+}
+
+}  // namespace mrs

@@ -3,21 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/json_writer.h"
 #include "common/str_util.h"
 #include "exec/execute_backend.h"
 
 namespace mrs {
 namespace {
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 const char* MeterName(ExecMeter meter) {
   return meter == ExecMeter::kThreadCpu ? "thread_cpu" : "deterministic";
@@ -233,7 +224,8 @@ std::string Calibrator::ReportJson() const {
           std::max(fitted_makespan, FittedSiteTime(scale, site));
     }
     out += k > 0 ? ",\n    {" : "\n    {";
-    out += StrFormat("\"label\": \"%s\", ", EscapeJson(plan.label).c_str());
+    out += "\"label\": ";
+    JsonWriter(&out).String(plan.label).Raw(", ");
     out += StrFormat("\"predicted_makespan_ms\": %.6f, ",
                      plan.predicted_makespan);
     out += StrFormat("\"measured_makespan\": %.6f, ", plan.measured_makespan);

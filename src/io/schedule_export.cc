@@ -1,78 +1,129 @@
 #include "io/schedule_export.h"
 
-#include "common/str_util.h"
+#include "common/json_writer.h"
 
 namespace mrs {
 
 namespace {
 
-std::string VectorToJson(const WorkVector& w) {
-  std::string out = "[";
+// Generous per-element widths for the size hint: a Fixed6 value and its
+// separator, and the fixed text of one site or clone object outside its
+// vectors' numbers.
+constexpr size_t kNumberBytes = 14;
+constexpr size_t kSiteBytes = 48;
+constexpr size_t kCloneBytes = 48;
+constexpr size_t kPhaseBytes = 128;
+
+void AppendVector(const WorkVector& w, JsonWriter* out) {
+  out->Raw('[');
   for (size_t i = 0; i < w.dim(); ++i) {
-    if (i > 0) out += ",";
-    out += StrFormat("%.6f", w[i]);
+    if (i > 0) out->Raw(',');
+    out->Fixed6(w[i]);
   }
-  out += "]";
-  return out;
+  out->Raw(']');
+}
+
+void AppendSchedule(const Schedule& schedule, JsonWriter* out) {
+  out->Raw("{\"num_sites\":")
+      .Int(schedule.num_sites())
+      .Raw(",\"dims\":")
+      .Int(schedule.dims())
+      .Raw(",\"makespan\":")
+      .Fixed6(schedule.Makespan())
+      .Raw(",\"sites\":[");
+  for (int j = 0; j < schedule.num_sites(); ++j) {
+    if (j > 0) out->Raw(',');
+    out->Raw("{\"site\":").Int(j).Raw(",\"time\":").Fixed6(
+        schedule.SiteTime(j));
+    out->Raw(",\"load\":");
+    AppendVector(schedule.SiteLoad(j), out);
+    out->Raw(",\"clones\":[");
+    bool first = true;
+    for (int p : schedule.SitePlacements(j)) {
+      const ClonePlacement& c =
+          schedule.placements()[static_cast<size_t>(p)];
+      if (!first) out->Raw(',');
+      first = false;
+      out->Raw("{\"op\":").Int(c.op_id).Raw(",\"clone\":").Int(c.clone_idx);
+      out->Raw(",\"work\":");
+      AppendVector(c.work, out);
+      out->Raw(",\"t_seq\":").Fixed6(c.t_seq).Raw('}');
+    }
+    out->Raw("]}");
+  }
+  out->Raw("]}");
+}
+
+size_t ScheduleSizeHint(const Schedule& schedule) {
+  const size_t row = static_cast<size_t>(schedule.dims()) * kNumberBytes;
+  return kPhaseBytes +
+         static_cast<size_t>(schedule.num_sites()) * (kSiteBytes + row) +
+         static_cast<size_t>(schedule.num_placements()) * (kCloneBytes + row);
 }
 
 }  // namespace
 
 std::string ScheduleToJson(const Schedule& schedule) {
-  std::string out = StrFormat(
-      "{\"num_sites\":%d,\"dims\":%d,\"makespan\":%.6f,\"sites\":[",
-      schedule.num_sites(), schedule.dims(), schedule.Makespan());
-  for (int j = 0; j < schedule.num_sites(); ++j) {
-    if (j > 0) out += ",";
-    out += StrFormat("{\"site\":%d,\"time\":%.6f,\"load\":%s,\"clones\":[",
-                     j, schedule.SiteTime(j),
-                     VectorToJson(schedule.SiteLoad(j)).c_str());
-    bool first = true;
-    for (int p : schedule.SitePlacements(j)) {
-      const ClonePlacement& c =
-          schedule.placements()[static_cast<size_t>(p)];
-      if (!first) out += ",";
-      first = false;
-      out += StrFormat(
-          "{\"op\":%d,\"clone\":%d,\"work\":%s,\"t_seq\":%.6f}", c.op_id,
-          c.clone_idx, VectorToJson(c.work).c_str(), c.t_seq);
-    }
-    out += "]}";
-  }
-  out += "]}";
+  std::string out;
+  out.reserve(ScheduleSizeHint(schedule));
+  JsonWriter w(&out);
+  AppendSchedule(schedule, &w);
   return out;
 }
 
-std::string TreeScheduleToJson(const TreeScheduleResult& result) {
-  std::string out = StrFormat("{\"response_time\":%.6f,\"phases\":[",
-                              result.response_time);
-  for (size_t k = 0; k < result.phases.size(); ++k) {
-    if (k > 0) out += ",";
-    const PhaseSchedule& phase = result.phases[k];
-    out += StrFormat("{\"phase\":%d,\"makespan\":%.6f,\"schedule\":%s}",
-                     phase.phase, phase.makespan,
-                     ScheduleToJson(phase.schedule).c_str());
+size_t TreeScheduleJsonSizeHint(const TreeScheduleResult& result) {
+  size_t bytes = kPhaseBytes;
+  for (const PhaseSchedule& phase : result.phases) {
+    bytes += kPhaseBytes + ScheduleSizeHint(phase.schedule);
   }
-  out += "]}";
+  return bytes;
+}
+
+bool AppendTreeScheduleJson(std::string* out,
+                            const TreeScheduleResult& result) {
+  JsonWriter w(out);
+  w.Raw("{\"response_time\":").Fixed6(result.response_time).Raw(
+      ",\"phases\":[");
+  for (size_t k = 0; k < result.phases.size(); ++k) {
+    if (k > 0) w.Raw(',');
+    const PhaseSchedule& phase = result.phases[k];
+    w.Raw("{\"phase\":")
+        .Int(phase.phase)
+        .Raw(",\"makespan\":")
+        .Fixed6(phase.makespan)
+        .Raw(",\"schedule\":");
+    AppendSchedule(phase.schedule, &w);
+    w.Raw('}');
+  }
+  w.Raw("]}");
+  return w.ok();
+}
+
+std::string TreeScheduleToJson(const TreeScheduleResult& result) {
+  std::string out;
+  out.reserve(TreeScheduleJsonSizeHint(result));
+  AppendTreeScheduleJson(&out, result);
   return out;
 }
 
 std::string TreeScheduleToCsv(const TreeScheduleResult& result) {
-  std::string out = "phase,site,site_time";
+  std::string out;
+  JsonWriter w(&out);
+  w.Raw("phase,site,site_time");
   const int dims = result.phases.empty()
                        ? 0
                        : result.phases.front().schedule.dims();
-  for (int i = 0; i < dims; ++i) out += StrFormat(",load_%d", i);
-  out += ",num_clones\n";
+  for (int i = 0; i < dims; ++i) w.Raw(",load_").Int(i);
+  w.Raw(",num_clones\n");
   for (const auto& phase : result.phases) {
     for (int j = 0; j < phase.schedule.num_sites(); ++j) {
-      out += StrFormat("%d,%d,%.6f", phase.phase, j,
-                       phase.schedule.SiteTime(j));
+      w.Int(phase.phase).Raw(',').Int(j).Raw(',').Fixed6(
+          phase.schedule.SiteTime(j));
       const WorkVector& load = phase.schedule.SiteLoad(j);
-      for (size_t i = 0; i < load.dim(); ++i) {
-        out += StrFormat(",%.6f", load[i]);
-      }
-      out += StrFormat(",%zu\n", phase.schedule.SitePlacements(j).size());
+      for (size_t i = 0; i < load.dim(); ++i) w.Raw(',').Fixed6(load[i]);
+      w.Raw(',')
+          .Uint(phase.schedule.SitePlacements(j).size())
+          .Raw('\n');
     }
   }
   return out;
@@ -80,56 +131,80 @@ std::string TreeScheduleToCsv(const TreeScheduleResult& result) {
 
 std::string ListScheduleToJson(const ListScheduleResult& result) {
   const Schedule& schedule = result.schedule;
-  std::string out = StrFormat(
-      "{\"makespan\":%.6f,\"tree_response\":%.6f,\"fallback\":%d,"
-      "\"mode\":\"%s\",\"rounds\":%d,\"num_sites\":%d,\"dims\":%d,"
-      "\"tasks\":[",
-      result.makespan, result.tree_response_time,
-      result.used_tree_fallback ? 1 : 0, result.ModeString(), result.rounds,
-      schedule.num_sites(), schedule.dims());
+  std::string out;
+  out.reserve(ScheduleSizeHint(schedule) +
+              result.tasks.size() * (kCloneBytes + 2 * kNumberBytes));
+  JsonWriter w(&out);
+  w.Raw("{\"makespan\":")
+      .Fixed6(result.makespan)
+      .Raw(",\"tree_response\":")
+      .Fixed6(result.tree_response_time)
+      .Raw(",\"fallback\":")
+      .Int(result.used_tree_fallback ? 1 : 0)
+      .Raw(",\"mode\":\"")
+      .Raw(result.ModeString())
+      .Raw("\",\"rounds\":")
+      .Int(result.rounds)
+      .Raw(",\"num_sites\":")
+      .Int(schedule.num_sites())
+      .Raw(",\"dims\":")
+      .Int(schedule.dims())
+      .Raw(",\"tasks\":[");
   for (size_t i = 0; i < result.tasks.size(); ++i) {
-    if (i > 0) out += ",";
+    if (i > 0) w.Raw(',');
     const ListTaskInterval& t = result.tasks[i];
-    out += StrFormat("{\"task\":%d,\"start\":%.6f,\"finish\":%.6f}", t.task,
-                     t.start, t.finish);
+    w.Raw("{\"task\":")
+        .Int(t.task)
+        .Raw(",\"start\":")
+        .Fixed6(t.start)
+        .Raw(",\"finish\":")
+        .Fixed6(t.finish)
+        .Raw('}');
   }
-  out += "],\"sites\":[";
+  w.Raw("],\"sites\":[");
   for (int j = 0; j < schedule.num_sites(); ++j) {
-    if (j > 0) out += ",";
-    out += StrFormat("{\"site\":%d,\"finish\":%.6f,\"load\":%s,\"clones\":[",
-                     j, schedule.SiteFinish(j),
-                     VectorToJson(schedule.SiteLoad(j)).c_str());
+    if (j > 0) w.Raw(',');
+    w.Raw("{\"site\":").Int(j).Raw(",\"finish\":").Fixed6(
+        schedule.SiteFinish(j));
+    w.Raw(",\"load\":");
+    AppendVector(schedule.SiteLoad(j), &w);
+    w.Raw(",\"clones\":[");
     bool first = true;
     for (int p : schedule.SitePlacements(j)) {
       const ClonePlacement& c =
           schedule.placements()[static_cast<size_t>(p)];
-      if (!first) out += ",";
+      if (!first) w.Raw(',');
       first = false;
-      out += StrFormat(
-          "{\"op\":%d,\"clone\":%d,\"start\":%.6f,\"finish\":%.6f,"
-          "\"work\":%s,\"t_seq\":%.6f}",
-          c.op_id, c.clone_idx, c.start,
-          result.clone_finish[static_cast<size_t>(p)],
-          VectorToJson(c.work).c_str(), c.t_seq);
+      w.Raw("{\"op\":")
+          .Int(c.op_id)
+          .Raw(",\"clone\":")
+          .Int(c.clone_idx)
+          .Raw(",\"start\":")
+          .Fixed6(c.start)
+          .Raw(",\"finish\":")
+          .Fixed6(result.clone_finish[static_cast<size_t>(p)])
+          .Raw(",\"work\":");
+      AppendVector(c.work, &w);
+      w.Raw(",\"t_seq\":").Fixed6(c.t_seq).Raw('}');
     }
-    out += "]}";
+    w.Raw("]}");
   }
-  out += "]}";
+  w.Raw("]}");
   return out;
 }
 
 std::string ListScheduleToCsv(const ListScheduleResult& result) {
   const Schedule& schedule = result.schedule;
-  std::string out = "site,finish";
-  for (int i = 0; i < schedule.dims(); ++i) out += StrFormat(",load_%d", i);
-  out += ",num_clones\n";
+  std::string out;
+  JsonWriter w(&out);
+  w.Raw("site,finish");
+  for (int i = 0; i < schedule.dims(); ++i) w.Raw(",load_").Int(i);
+  w.Raw(",num_clones\n");
   for (int j = 0; j < schedule.num_sites(); ++j) {
-    out += StrFormat("%d,%.6f", j, schedule.SiteFinish(j));
+    w.Int(j).Raw(',').Fixed6(schedule.SiteFinish(j));
     const WorkVector& load = schedule.SiteLoad(j);
-    for (size_t i = 0; i < load.dim(); ++i) {
-      out += StrFormat(",%.6f", load[i]);
-    }
-    out += StrFormat(",%zu\n", schedule.SitePlacements(j).size());
+    for (size_t i = 0; i < load.dim(); ++i) w.Raw(',').Fixed6(load[i]);
+    w.Raw(',').Uint(schedule.SitePlacements(j).size()).Raw('\n');
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #ifndef MRS_IO_SCHEDULE_EXPORT_H_
 #define MRS_IO_SCHEDULE_EXPORT_H_
 
+#include <cstddef>
 #include <string>
 
 #include "core/list_schedule.h"
@@ -8,6 +9,10 @@
 #include "core/tree_schedule.h"
 
 namespace mrs {
+
+/// Every writer here prints a number as printf("%.6f") would, byte for
+/// byte, through one std::to_chars JSON writer (common/json_writer.h); a
+/// NaN or infinite number prints as `null`.
 
 /// Serializes one phase schedule as JSON:
 /// {"num_sites":P,"dims":d,"makespan":...,"sites":[{"site":j,"time":...,
@@ -19,6 +24,17 @@ std::string ScheduleToJson(const Schedule& schedule);
 /// {"response_time":...,"phases":[{"phase":k,"makespan":...,
 ///  "schedule":{...}}]}
 std::string TreeScheduleToJson(const TreeScheduleResult& result);
+
+/// Appends exactly TreeScheduleToJson(result) to *out, so a caller can
+/// build an envelope and the schedule in one buffer. Returns false iff a
+/// number was NaN or infinite; such a number is written as `null`, never
+/// as `nan`/`inf`.
+bool AppendTreeScheduleJson(std::string* out, const TreeScheduleResult& result);
+
+/// An upper estimate of TreeScheduleToJson(result).size() from the
+/// phases' site and clone counts and d (exact sizes depend on the
+/// numbers' magnitudes), for reserving the output buffer once.
+size_t TreeScheduleJsonSizeHint(const TreeScheduleResult& result);
 
 /// Per-site CSV (one row per site per phase):
 /// phase,site,site_time,load_cpu,load_...,num_clones

@@ -1,71 +1,41 @@
 #include "io/trace_export.h"
 
+#include "common/json_writer.h"
 #include "common/str_util.h"
 
 namespace mrs {
 
 namespace {
 
-/// Minimal JSON string escaping: quotes, backslashes, and control
-/// characters (attribute values are scheduler-generated but may embed
-/// arbitrary plan names).
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string SpanToJson(const TraceSpan& span) {
-  std::string out = StrFormat(
-      "{\"name\":\"%s\",\"phase\":%d,\"start_ms\":%.6f,\"end_ms\":%.6f,"
-      "\"attrs\":{",
-      EscapeJson(span.name).c_str(), span.phase, span.start_ms, span.end_ms);
+void AppendSpan(const TraceSpan& span, JsonWriter* out) {
+  out->Raw("{\"name\":")
+      .String(span.name)
+      .Raw(",\"phase\":")
+      .Int(span.phase)
+      .Raw(",\"start_ms\":")
+      .Fixed6(span.start_ms)
+      .Raw(",\"end_ms\":")
+      .Fixed6(span.end_ms)
+      .Raw(",\"attrs\":{");
   for (size_t i = 0; i < span.attrs.size(); ++i) {
-    if (i > 0) out += ",";
-    out += StrFormat("\"%s\":\"%s\"", EscapeJson(span.attrs[i].first).c_str(),
-                     EscapeJson(span.attrs[i].second).c_str());
+    if (i > 0) out->Raw(',');
+    out->String(span.attrs[i].first).Raw(':').String(span.attrs[i].second);
   }
-  out += "}}";
-  return out;
+  out->Raw("}}");
 }
 
 }  // namespace
 
 std::string TraceToJson(const ScheduleTrace& trace) {
-  std::string out =
-      StrFormat("{\"label\":\"%s\",\"spans\":[",
-                EscapeJson(trace.label()).c_str());
+  std::string out;
+  JsonWriter w(&out);
+  w.Raw("{\"label\":").String(trace.label()).Raw(",\"spans\":[");
   const std::vector<TraceSpan> spans = trace.spans();
   for (size_t i = 0; i < spans.size(); ++i) {
-    if (i > 0) out += ",";
-    out += SpanToJson(spans[i]);
+    if (i > 0) w.Raw(',');
+    AppendSpan(spans[i], &w);
   }
-  out += "]}";
+  w.Raw("]}");
   return out;
 }
 

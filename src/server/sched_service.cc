@@ -1,7 +1,9 @@
 #include "server/sched_service.h"
 
+#include <cmath>
 #include <cstdlib>
 
+#include "common/json_writer.h"
 #include "common/str_util.h"
 #include "io/plan_text.h"
 #include "io/schedule_export.h"
@@ -10,42 +12,21 @@ namespace mrs {
 
 namespace {
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+// Fixed text around the schedule in an ok response, the id and five numbers
+// included; the schedule's own share comes from TreeScheduleJsonSizeHint.
+constexpr size_t kEnvelopeBytes = 256;
 
 std::string ErrorResponse(const char* status, const Status& why) {
-  return StrFormat(
-      "{\"status\":\"%s\",\"code\":\"%s\",\"message\":\"%s\"}", status,
-      std::string(StatusCodeToString(why.code())).c_str(),
-      EscapeJson(why.message()).c_str());
+  std::string out;
+  JsonWriter w(&out);
+  w.Raw("{\"status\":\"")
+      .Raw(status)
+      .Raw("\",\"code\":\"")
+      .Raw(StatusCodeToString(why.code()))
+      .Raw("\",\"message\":")
+      .String(why.message())
+      .Raw('}');
+  return out;
 }
 
 struct ParsedRequest {
@@ -61,21 +42,30 @@ Result<ParsedRequest> ParseRequest(const std::string& request) {
     size_t eol = request.find('\n', pos);
     if (eol == std::string::npos) eol = request.size();
     const std::string line = request.substr(pos, eol - pos);
-    char* end = nullptr;
-    const char* arg = line.c_str() + 8;
+    double* value = nullptr;
     if (line.rfind("@arrival", 0) == 0) {
-      out.arrival_ms = std::strtod(arg, &end);
+      value = &out.arrival_ms;
     } else if (line.rfind("@timeout", 0) == 0) {
-      out.timeout_ms = std::strtod(arg, &end);
+      value = &out.timeout_ms;
     } else {
       return Status::InvalidArgument(
           StrFormat("unknown directive: %s", line.c_str()));
     }
+    char* end = nullptr;
+    const char* arg = line.c_str() + 8;
+    *value = std::strtod(arg, &end);
     const bool converted = end != nullptr && end != arg;
     while (end != nullptr && *end == ' ') ++end;
     if (!converted || *end != '\0') {
       return Status::InvalidArgument(
           StrFormat("malformed directive: %s", line.c_str()));
+    }
+    // The arrival moves the shared virtual clock, so inf/nan/negative
+    // values (strtod also yields inf for an overflow such as 1e400) would
+    // corrupt every later client's times.
+    if (!std::isfinite(*value) || *value < 0.0) {
+      return Status::InvalidArgument(StrFormat(
+          "directive value must be finite and >= 0: %s", line.c_str()));
     }
     pos = eol < request.size() ? eol + 1 : eol;
   }
@@ -129,14 +119,31 @@ std::string SchedService::Handle(const std::string& request) {
     case OnlineQueryState::kDone:
       break;
   }
-  return StrFormat(
-      "{\"status\":\"ok\",\"id\":%llu,\"arrival_ms\":%.6f,"
-      "\"admit_ms\":%.6f,\"queue_wait_ms\":%.6f,\"finish_ms\":%.6f,"
-      "\"response_ms\":%.6f,\"schedule\":%s}",
-      static_cast<unsigned long long>(result->id), result->arrival_ms,
-      result->admit_ms, result->QueueWaitMs(), result->ProjectedFinishMs(),
-      result->schedule.response_time,
-      TreeScheduleToJson(result->schedule).c_str());
+  // The envelope and the schedule go into one buffer sized from the
+  // schedule's site and clone counts: no intermediate strings, no copy.
+  std::string out;
+  out.reserve(kEnvelopeBytes + TreeScheduleJsonSizeHint(result->schedule));
+  JsonWriter w(&out);
+  w.Raw("{\"status\":\"ok\",\"id\":")
+      .Uint(result->id)
+      .Raw(",\"arrival_ms\":")
+      .Fixed6(result->arrival_ms)
+      .Raw(",\"admit_ms\":")
+      .Fixed6(result->admit_ms)
+      .Raw(",\"queue_wait_ms\":")
+      .Fixed6(result->QueueWaitMs())
+      .Raw(",\"finish_ms\":")
+      .Fixed6(result->ProjectedFinishMs())
+      .Raw(",\"response_ms\":")
+      .Fixed6(result->schedule.response_time)
+      .Raw(",\"schedule\":");
+  const bool schedule_finite = AppendTreeScheduleJson(&out, result->schedule);
+  w.Raw('}');
+  if (!w.ok() || !schedule_finite) {
+    return ErrorResponse(
+        "error", Status::Internal("schedule response holds a non-finite number"));
+  }
+  return out;
 }
 
 }  // namespace mrs

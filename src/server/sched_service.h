@@ -27,6 +27,10 @@ struct SchedServiceOptions {
 ///   relation customer 30000
 ///   ...
 ///
+/// A directive value must be a finite number >= 0; inf, nan, an overflow
+/// such as 1e400 or a negative value is an InvalidArgument error and
+/// leaves the shared virtual clock untouched.
+///
 /// Response payload: one JSON object.
 ///   admitted:  {"status":"ok","id":N,"arrival_ms":...,"admit_ms":...,
 ///               "queue_wait_ms":...,"finish_ms":...,"response_ms":...,
@@ -34,11 +38,22 @@ struct SchedServiceOptions {
 ///   rejected:  {"status":"rejected","code":"Unavailable","message":...}
 ///   timed out: {"status":"timeout","code":"DeadlineExceeded","message":...}
 ///   bad input: {"status":"error","code":...,"message":...}
+///   non-finite number in the result: {"status":"error","code":"Internal",
+///               "message":...} (never a nan/inf token)
 ///
 /// Handle() serializes requests on an internal mutex (the scheduler is
 /// single-threaded by design), so concurrent connections are safe; on an
 /// otherwise idle system the embedded "schedule" JSON is byte-identical
 /// to the offline TreeScheduleToJson output for the same plan.
+///
+/// Response path: the ok envelope and the schedule are appended into one
+/// buffer reserved from the schedule's site and clone counts
+/// (AppendTreeScheduleJson, numbers via std::to_chars), with no
+/// intermediate strings and no copy. Serializing the ~80 KB response of a
+/// 32-site plan takes about 0.45 ms of a ~1.6 ms Handle; OPERATORSCHEDULE
+/// placement (~1.0 ms) is now the largest share. Both run under the
+/// mutex: serializing after unlock would need the result record to
+/// outlive later requests.
 class SchedService {
  public:
   explicit SchedService(const SchedServiceOptions& options = {});

@@ -14,12 +14,14 @@
 #include "core/tree_schedule.h"
 #include "exec/calibrate.h"
 #include "exec/exec_backend.h"
+#include "json_check.h"
 #include "test_util.h"
 
 namespace mrs {
 namespace {
 
 using testing_util::BushyFourWayFixture;
+using testing_util::IsValidJson;
 using testing_util::PipelinedChainFixture;
 using testing_util::PlanFixture;
 
@@ -172,6 +174,18 @@ TEST(CalibratorTest, ReportJsonCarriesTheSchemaAndIsDeterministic) {
   ASSERT_TRUE(
       again.AddSchedule("bushy-list", c.list.schedule, c.specs).ok());
   EXPECT_EQ(report, again.ReportJson());
+}
+
+TEST(CalibratorTest, ReportEscapesLabelsIntoValidJson) {
+  CalibrationFixture c = MakeCalibrationFixture(BushyFourWayFixture());
+  Calibrator calibrator(c.machine.dims, c.usage, DeterministicExec());
+  const std::string label = "q\"uote\\back\nline\x01" "ctl";
+  ASSERT_TRUE(calibrator.AddTreePlan(label, c.tree, c.specs).ok());
+  const std::string report = calibrator.ReportJson();
+  EXPECT_NE(report.find("\"label\": \"q\\\"uote\\\\back\\nline\\u0001ctl\""),
+            std::string::npos)
+      << report;
+  EXPECT_TRUE(IsValidJson(report)) << report;
 }
 
 /// The honest meter still produces a structurally valid report; no value

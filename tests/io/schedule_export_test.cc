@@ -1,15 +1,20 @@
 #include "io/schedule_export.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "json_check.h"
 #include "test_util.h"
 
 namespace mrs {
 namespace {
 
 using testing_util::BushyFourWayFixture;
+using testing_util::IsValidJson;
 using testing_util::MakeUnitOp;
 using testing_util::PlanFixture;
 
@@ -60,6 +65,30 @@ TEST(ScheduleExportTest, CsvHasRowPerSitePerPhase) {
   EXPECT_EQ(rows, 1 + plan->phases.size() * 5);  // header + P per phase
   EXPECT_NE(csv.find("phase,site,site_time,load_0,load_1,load_2,num_clones"),
             std::string::npos);
+}
+
+TEST(ScheduleExportTest, NonFiniteMakespanIsRefusedNotPrinted) {
+  PlanFixture fx = BushyFourWayFixture();
+  OverlapUsageModel usage(0.5);
+  MachineConfig machine;
+  machine.num_sites = 4;
+  auto plan = TreeSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
+                           machine, usage);
+  ASSERT_TRUE(plan.ok());
+  std::string finite;
+  EXPECT_TRUE(AppendTreeScheduleJson(&finite, *plan));
+
+  plan->phases.front().makespan = std::nan("");
+  std::string out;
+  EXPECT_FALSE(AppendTreeScheduleJson(&out, *plan));
+  EXPECT_EQ(out.find("nan"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"makespan\":null"), std::string::npos);
+  EXPECT_TRUE(IsValidJson(out)) << out;
+
+  plan->response_time = std::numeric_limits<double>::infinity();
+  out.clear();
+  EXPECT_FALSE(AppendTreeScheduleJson(&out, *plan));
+  EXPECT_EQ(out.find("inf"), std::string::npos) << out;
 }
 
 TEST(ScheduleExportTest, EmptyScheduleStillValidJson) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -13,11 +15,13 @@
 #include "io/schedule_export.h"
 #include "server/sched_client.h"
 #include "server/sched_service.h"
+#include "json_check.h"
 #include "test_util.h"
 
 namespace mrs {
 namespace {
 
+using testing_util::IsValidJson;
 using testing_util::MakeFixture;
 using testing_util::PlanFixture;
 
@@ -187,6 +191,51 @@ TEST(SchedServerTest, ArrivalDirectiveSetsVirtualTime) {
   ASSERT_TRUE(HasStatus(response, "ok")) << response;
   EXPECT_NE(response.find("\"arrival_ms\":123.500000"), std::string::npos)
       << response;
+}
+
+/// The number following `"key":` in a response, parsed with strtod.
+double NumberField(const std::string& response, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t pos = response.find(needle);
+  EXPECT_NE(pos, std::string::npos) << key << " missing from " << response;
+  if (pos == std::string::npos) return std::nan("");
+  return std::strtod(response.c_str() + pos + needle.size(), nullptr);
+}
+
+TEST(SchedServerTest, NonFiniteOrNegativeDirectivesAreRejected) {
+  PlanFixture fx = SingleJoinFixture(4000, 2000);
+  const std::string plan_text = PlanTextOf(fx);
+  SchedServiceOptions options;
+  MetricsRegistry metrics;
+  options.online.metrics = &metrics;
+  SchedService service(options);
+  for (const char* directive : {"@arrival", "@timeout"}) {
+    for (const char* value : {"inf", "-inf", "nan", "1e400", "-1"}) {
+      const std::string bad =
+          std::string(directive) + " " + value + "\n" + plan_text;
+      std::string response = service.Handle(bad);
+      EXPECT_TRUE(HasStatus(response, "error")) << bad << "\n" << response;
+      EXPECT_NE(response.find("\"code\":\"InvalidArgument\""),
+                std::string::npos)
+          << response;
+      EXPECT_TRUE(IsValidJson(response)) << response;
+
+      // The rejected directive must not have moved the shared virtual
+      // clock: a valid request still reports finite times.
+      response = service.Handle(plan_text);
+      ASSERT_TRUE(HasStatus(response, "ok")) << response;
+      EXPECT_TRUE(IsValidJson(response));
+      EXPECT_TRUE(std::isfinite(NumberField(response, "arrival_ms")))
+          << bad << "\n" << response;
+      EXPECT_TRUE(std::isfinite(NumberField(response, "queue_wait_ms")))
+          << bad << "\n" << response;
+    }
+  }
+  EXPECT_TRUE(std::isfinite(service.scheduler()->now()));
+  // Zero is a valid arrival and timeout.
+  const std::string zero = service.Handle("@arrival 0\n@timeout 0\n" +
+                                          plan_text);
+  EXPECT_FALSE(HasStatus(zero, "error")) << zero;
 }
 
 TEST(SchedServerTest, ShutdownDrainsInFlightRequests) {
