@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/json_writer.h"
 #include "common/str_util.h"
 
 namespace mrs {
@@ -121,30 +122,34 @@ uint64_t MetricsSnapshot::CounterValue(const std::string& name) const {
   return 0;
 }
 
-std::string MetricsSnapshot::ToJson() const {
-  std::string out = "{\"counters\":{";
+void MetricsSnapshot::AppendJson(JsonWriter* out) const {
+  out->Raw("{\"counters\":{");
   for (size_t i = 0; i < counters.size(); ++i) {
-    if (i > 0) out += ",";
-    out += StrFormat("\"%s\":%llu", counters[i].first.c_str(),
-                     static_cast<unsigned long long>(counters[i].second));
+    if (i > 0) out->Raw(',');
+    out->String(counters[i].first).Raw(':').Uint(counters[i].second);
   }
-  out += "},\"gauges\":{";
+  out->Raw("},\"gauges\":{");
   for (size_t i = 0; i < gauges.size(); ++i) {
-    if (i > 0) out += ",";
-    out += StrFormat("\"%s\":%.6f", gauges[i].first.c_str(),
-                     gauges[i].second);
+    if (i > 0) out->Raw(',');
+    out->String(gauges[i].first).Raw(':').Fixed6(gauges[i].second);
   }
-  out += "},\"histograms\":{";
+  out->Raw("},\"histograms\":{");
   for (size_t i = 0; i < histograms.size(); ++i) {
-    if (i > 0) out += ",";
+    if (i > 0) out->Raw(',');
     const HistogramSnapshot& h = histograms[i];
-    out += StrFormat(
-        "\"%s\":{\"count\":%llu,\"sum\":%.6f,\"min\":%.6f,\"max\":%.6f,"
-        "\"p50\":%.6f,\"p95\":%.6f,\"p99\":%.6f}",
-        h.name.c_str(), static_cast<unsigned long long>(h.count), h.sum,
-        h.min, h.max, h.p50, h.p95, h.p99);
+    out->String(h.name).Raw(":{\"count\":").Uint(h.count);
+    out->Raw(",\"sum\":").Fixed6(h.sum).Raw(",\"min\":").Fixed6(h.min);
+    out->Raw(",\"max\":").Fixed6(h.max).Raw(",\"p50\":").Fixed6(h.p50);
+    out->Raw(",\"p95\":").Fixed6(h.p95).Raw(",\"p99\":").Fixed6(h.p99);
+    out->Raw('}');
   }
-  out += "}}";
+  out->Raw("}}");
+}
+
+std::string MetricsSnapshot::ToJson() const {
+  std::string out;
+  JsonWriter writer(&out);
+  AppendJson(&writer);
   return out;
 }
 

@@ -16,6 +16,8 @@
 
 namespace mrs {
 
+class JsonWriter;
+
 /// Process-wide scheduler telemetry: named counters, gauges, and
 /// fixed-bucket latency histograms, collected into deterministic-order
 /// snapshots. This is the layer the batch engine, the parallelize cache,
@@ -163,8 +165,11 @@ struct MetricsSnapshot {
 
   /// Stable JSON object: {"counters":{...},"gauges":{...},
   /// "histograms":{"name":{"count":..,"sum":..,"min":..,"max":..,
-  /// "p50":..,"p95":..,"p99":..}}}. Keys sorted by name.
+  /// "p50":..,"p95":..,"p99":..}}}. Keys sorted by name and escaped as
+  /// JSON strings; a non-finite value is written as null.
   std::string ToJson() const;
+  /// ToJson's text, appended through `out`.
+  void AppendJson(JsonWriter* out) const;
 
   /// Human-readable multi-line table.
   std::string ToString() const;

@@ -8,69 +8,12 @@
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "core/malleable.h"
+#include "core/site_timeline.h"
 #include "exec/explain.h"
 
 namespace mrs {
 
 namespace {
-
-/// One clone mid-flight at a site during the virtual-time event loop.
-struct RunningClone {
-  int placement = -1;  ///< index into the global schedule's placements()
-  int task = -1;
-  WorkVector remaining;
-  double own = 0.0;  ///< remaining stand-alone time
-};
-
-/// Per-site state of the event loop: the resident clones, the instant the
-/// site's remainders were last rebased to (`now`), the projected common
-/// completion `finish`, and the eq. (3) diagnosis of the last projection.
-struct SiteState {
-  double now = 0.0;
-  double finish = 0.0;
-  double last_finish = 0.0;  ///< committed completion of the last wave
-  bool congestion = false;
-  int resource = -1;
-  std::vector<RunningClone> active;
-};
-
-/// Rebases a site's remainders to instant `t` (now <= t <= finish): the
-/// residents have completed the fraction (t - now) / (finish - now) of
-/// their remaining work, all progressing toward the common completion.
-void AdvanceSite(SiteState* s, double t) {
-  if (s->active.empty() || t <= s->now) {
-    s->now = std::max(s->now, t);
-    return;
-  }
-  const double factor = (s->finish - t) / (s->finish - s->now);
-  for (RunningClone& c : s->active) {
-    c.remaining *= factor;
-    c.own *= factor;
-  }
-  s->now = t;
-}
-
-/// Recomputes the common completion of a site's residents — eq. (2) on
-/// remaining work: finish = now + max(max_c own_c, l(sum_c remaining_c)) —
-/// and records which term binds (plus the arg max resource).
-void ProjectSiteFinish(SiteState* s, WorkVector* scratch) {
-  double longest_own = 0.0;
-  scratch->SetZero();
-  for (const RunningClone& c : s->active) {
-    longest_own = std::max(longest_own, c.own);
-    *scratch += c.remaining;
-  }
-  const double load_len = scratch->Length();
-  s->finish = s->now + std::max(longest_own, load_len);
-  s->congestion = load_len >= longest_own;
-  s->resource = -1;
-  for (size_t i = 0; i < scratch->dim(); ++i) {
-    if (s->resource < 0 ||
-        (*scratch)[i] > (*scratch)[static_cast<size_t>(s->resource)]) {
-      s->resource = static_cast<int>(i);
-    }
-  }
-}
 
 /// The cost an operator's degree is derived from (see
 /// BuildDegreePolicy::kJoinAware; identical to TREESCHEDULE's rule).
@@ -147,18 +90,17 @@ ListScheduleResult AlignedFallback(const TreeScheduleResult& tree,
 }
 
 /// The greedy virtual-time event loop (steps 1-4 of the header comment),
-/// without either guard. `external` is the resolved external base load
-/// (from either ListScheduleOptions field); `pipeline` enables the
-/// rate-matched, stage-ordered round described at
-/// ListScheduleOptions::pipeline; `trace` is the sink for round spans
-/// (null for the shadow baseline runs the guards make).
+/// without either guard, over the validated external base load
+/// (list_options.base_load); `pipeline` enables the rate-matched,
+/// stage-ordered round described at ListScheduleOptions::pipeline; `trace`
+/// is the sink for round spans (null for the shadow baseline runs the
+/// guards make).
 Result<ListScheduleResult> GreedyListSchedule(
     const OperatorTree& op_tree, const TaskTree& task_tree,
     const std::vector<OperatorCost>& costs, const CostParams& params,
     const MachineConfig& config, const OverlapUsageModel& usage,
-    const ListScheduleOptions& options,
-    const std::vector<WorkVector>* external, bool pipeline,
-    TraceSink* trace) {
+    const ListScheduleOptions& options, bool pipeline, TraceSink* trace) {
+  const std::vector<WorkVector>* external = options.list_options.base_load;
   // Parallelization entry points, memoized when a cache is supplied
   // (identical to TREESCHEDULE's, so the two engines pick the same
   // degrees for the same readiness sets).
@@ -205,9 +147,12 @@ Result<ListScheduleResult> GreedyListSchedule(
   }
   std::sort(ready.begin(), ready.end());
 
-  std::vector<SiteState> sites(static_cast<size_t>(config.num_sites));
+  // One resident set per site; resident ids are placement indices, and
+  // clone_task maps them back to their query task.
+  std::vector<SiteTimeline> sites(static_cast<size_t>(config.num_sites),
+                                  SiteTimeline(config.dims));
+  std::vector<int> clone_task;
   std::unordered_map<int, std::vector<int>> home_of;
-  WorkVector scratch(static_cast<size_t>(config.dims));
   double t = 0.0;
   int completed_tasks = 0;
 
@@ -324,12 +269,12 @@ Result<ListScheduleResult> GreedyListSchedule(
           static_cast<size_t>(config.num_sites),
           WorkVector(static_cast<size_t>(config.dims)));
       for (int j = 0; j < config.num_sites; ++j) {
-        SiteState& s = sites[static_cast<size_t>(j)];
-        // Rebase even idle sites: their `now` must reach t so a new wave
+        SiteTimeline& s = sites[static_cast<size_t>(j)];
+        // Rebase even idle sites: their clock must reach t so a new wave
         // projects from the clones' arrival instant, not the old finish.
-        AdvanceSite(&s, t);
-        for (const RunningClone& c : s.active) {
-          residual[static_cast<size_t>(j)] += c.remaining;
+        s.AdvanceTo(t);
+        for (const SiteTimeline::Resident& r : s.residents()) {
+          residual[static_cast<size_t>(j)] += r.remaining;
         }
         // External co-resident load is static over the query's horizon.
         if (external != nullptr) {
@@ -389,13 +334,9 @@ Result<ListScheduleResult> GreedyListSchedule(
                                                       c.clone_idx, c.site, t));
           const int placement = result.schedule.num_placements() - 1;
           const int tid = op_task.at(c.op_id);
-          RunningClone running;
-          running.placement = placement;
-          running.task = tid;
-          running.remaining = c.work;
-          running.own = c.t_seq;
-          sites[static_cast<size_t>(c.site)].active.push_back(
-              std::move(running));
+          clone_task.push_back(tid);
+          sites[static_cast<size_t>(c.site)].Admit(placement, c.work,
+                                                   c.t_seq);
           touched[static_cast<size_t>(c.site)] = 1;
           // The next stage's least-loaded pass must see this clone.
           residual[static_cast<size_t>(c.site)] += c.work;
@@ -415,7 +356,7 @@ Result<ListScheduleResult> GreedyListSchedule(
       // remainders would only jitter the float).
       for (int j = 0; j < config.num_sites; ++j) {
         if (touched[static_cast<size_t>(j)]) {
-          ProjectSiteFinish(&sites[static_cast<size_t>(j)], &scratch);
+          sites[static_cast<size_t>(j)].Project();
         }
       }
       if (round_span.active()) {
@@ -436,30 +377,29 @@ Result<ListScheduleResult> GreedyListSchedule(
 
     // 4. Advance virtual time to the earliest site completion.
     double t_next = std::numeric_limits<double>::infinity();
-    for (const SiteState& s : sites) {
-      if (!s.active.empty()) t_next = std::min(t_next, s.finish);
+    for (const SiteTimeline& s : sites) {
+      if (!s.empty()) t_next = std::min(t_next, s.projection().finish);
     }
     if (t_next == std::numeric_limits<double>::infinity()) break;
-    for (SiteState& s : sites) {
-      if (s.active.empty() || s.finish > t_next) continue;
-      for (const RunningClone& c : s.active) {
-        result.clone_finish[static_cast<size_t>(c.placement)] = s.finish;
-        int& left = outstanding_clones[static_cast<size_t>(c.task)];
+    for (SiteTimeline& s : sites) {
+      const double finish = s.projection().finish;
+      if (s.empty() || finish > t_next) continue;
+      for (const SiteTimeline::Resident& r : s.residents()) {
+        result.clone_finish[static_cast<size_t>(r.id)] = finish;
+        const int task = clone_task[static_cast<size_t>(r.id)];
+        int& left = outstanding_clones[static_cast<size_t>(task)];
         if (--left == 0) {
-          ListTaskInterval& interval =
-              result.tasks[static_cast<size_t>(c.task)];
-          interval.finish = s.finish;
+          ListTaskInterval& interval = result.tasks[static_cast<size_t>(task)];
+          interval.finish = finish;
           ++completed_tasks;
-          const int parent = task_tree.task(c.task).parent;
+          const int parent = task_tree.task(task).parent;
           if (parent >= 0 &&
               --pending_children[static_cast<size_t>(parent)] == 0) {
             ready.push_back(parent);
           }
         }
       }
-      s.last_finish = s.finish;
-      s.now = s.finish;
-      s.active.clear();
+      s.CompleteWave();
     }
     std::sort(ready.begin(), ready.end());
     t = t_next;
@@ -471,18 +411,22 @@ Result<ListScheduleResult> GreedyListSchedule(
                   completed_tasks, num_tasks));
   }
   result.makespan = t;
+  // Every site ended on a completed wave, so its last projection is its
+  // last completion.
   for (size_t j = 0; j < sites.size(); ++j) {
-    const SiteState& s = sites[j];
     if (result.critical_site < 0 ||
-        s.last_finish >
-            sites[static_cast<size_t>(result.critical_site)].last_finish) {
+        sites[j].projection().finish >
+            sites[static_cast<size_t>(result.critical_site)]
+                .projection()
+                .finish) {
       result.critical_site = static_cast<int>(j);
     }
   }
   if (result.critical_site >= 0) {
-    const SiteState& s = sites[static_cast<size_t>(result.critical_site)];
-    result.load_bound = s.congestion;
-    result.critical_resource = s.resource;
+    const SiteTimeline::Projection& last =
+        sites[static_cast<size_t>(result.critical_site)].projection();
+    result.load_bound = last.congestion;
+    result.critical_resource = last.resource;
   }
   return result;
 }
@@ -494,14 +438,12 @@ Status ApplyTreeGuard(const OperatorTree& op_tree, const TaskTree& task_tree,
                       const CostParams& params, const MachineConfig& config,
                       const OverlapUsageModel& usage,
                       const ListScheduleOptions& options,
-                      const std::vector<WorkVector>* external,
                       ListScheduleResult* result) {
   TreeScheduleOptions tree_options;
   tree_options.granularity = options.granularity;
   tree_options.policy = options.policy;
   tree_options.build_degree = options.build_degree;
   tree_options.list_options = options.list_options;
-  tree_options.list_options.base_load = external;
   tree_options.cache = options.cache;
   auto tree = TreeSchedule(op_tree, task_tree, costs, params, config, usage,
                            tree_options);
@@ -554,18 +496,7 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
   if (task_tree.num_tasks() == 0) {
     return Status::InvalidArgument("task tree has no tasks to schedule");
   }
-  // Resolve the external base load: either field carries it, both is an
-  // error (they would silently shadow each other — the footgun this
-  // check replaces).
-  if (options.base_load != nullptr &&
-      options.list_options.base_load != nullptr) {
-    return Status::InvalidArgument(
-        "both ListScheduleOptions::base_load and list_options.base_load are "
-        "set; thread the external load through exactly one of them");
-  }
-  const std::vector<WorkVector>* external =
-      options.base_load != nullptr ? options.base_load
-                                   : options.list_options.base_load;
+  const std::vector<WorkVector>* external = options.list_options.base_load;
   if (external != nullptr) {
     if (static_cast<int>(external->size()) != config.num_sites) {
       return Status::InvalidArgument(
@@ -587,19 +518,16 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
   ListScheduleResult result;
   if (!options.pipeline) {
     auto plain = GreedyListSchedule(op_tree, task_tree, costs, params, config,
-                                    usage, options, external,
-                                    /*pipeline=*/false, trace);
+                                    usage, options, /*pipeline=*/false, trace);
     if (!plain.ok()) return plain.status();
     result = std::move(plain).value();
     if (options.tree_guard) {
       MRS_RETURN_IF_ERROR(ApplyTreeGuard(op_tree, task_tree, costs, params,
-                                         config, usage, options, external,
-                                         &result));
+                                         config, usage, options, &result));
     }
   } else {
     auto piped = GreedyListSchedule(op_tree, task_tree, costs, params, config,
-                                    usage, options, external,
-                                    /*pipeline=*/true, trace);
+                                    usage, options, /*pipeline=*/true, trace);
     if (!piped.ok()) return piped.status();
     result = std::move(piped).value();
     result.pipelined = true;
@@ -607,14 +535,13 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
       // Shadow task-wave baseline (untraced, itself tree-guarded when
       // tree_guard is on): the LIST side of PIPELINED <= LIST <= TREE.
       auto plain = GreedyListSchedule(op_tree, task_tree, costs, params,
-                                      config, usage, options, external,
+                                      config, usage, options,
                                       /*pipeline=*/false, /*trace=*/nullptr);
       if (!plain.ok()) return plain.status();
       ListScheduleResult baseline = std::move(plain).value();
       if (options.tree_guard) {
         MRS_RETURN_IF_ERROR(ApplyTreeGuard(op_tree, task_tree, costs, params,
-                                           config, usage, options, external,
-                                           &baseline));
+                                           config, usage, options, &baseline));
       }
       result.tree_response_time = baseline.tree_response_time;
       result.list_makespan = baseline.makespan;
@@ -626,8 +553,7 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
       }
     } else if (options.tree_guard) {
       MRS_RETURN_IF_ERROR(ApplyTreeGuard(op_tree, task_tree, costs, params,
-                                         config, usage, options, external,
-                                         &result));
+                                         config, usage, options, &result));
     }
   }
 

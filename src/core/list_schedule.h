@@ -27,6 +27,12 @@ struct ListScheduleOptions {
   /// Clone ordering / site selection knobs forwarded to the per-round
   /// OPERATORSCHEDULE pass (least-loaded selection then runs over the
   /// *residual* site load at the round's virtual time).
+  /// `list_options.base_load` (optional, not owned) is the external
+  /// residual load: the remaining work of co-resident queries per site,
+  /// treated as static over this query's horizon. It is added into every
+  /// round's residual (so the least-loaded rule avoids busy sites) and
+  /// forwarded to the tree_guard's TREESCHEDULE; it must hold exactly
+  /// num_sites vectors of the machine's dims.
   OperatorScheduleOptions list_options;
   /// Optional memoized parallelization cache (not owned); same
   /// compatibility contract as TreeScheduleOptions::cache.
@@ -36,16 +42,6 @@ struct ListScheduleOptions {
   /// the eq. (3) binding term of the critical site, and whether the
   /// barrier-aligned guard fired.
   TraceSink* trace = nullptr;
-  /// Optional external residual site load (not owned): the remaining work
-  /// of co-resident queries per site, treated as static over this query's
-  /// horizon. Added into every placement round's residual (so the
-  /// least-loaded rule avoids busy sites) and forwarded to the
-  /// tree_guard's TREESCHEDULE. Must hold exactly num_sites vectors of
-  /// the machine's dims. Setting list_options.base_load instead is
-  /// honored identically (ListSchedule folds the per-round residual on
-  /// top of it); setting *both* is an InvalidArgument — the two fields
-  /// would otherwise silently shadow each other.
-  const std::vector<WorkVector>* base_load = nullptr;
   /// Intra-task pipelined parallelism (arxiv 1403.7729's extension of the
   /// model): treat each ready task as the producer/consumer pipeline the
   /// plan layer says it is, instead of an undifferentiated wave. Two

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/str_util.h"
+#include "core/site_timeline.h"
 
 namespace mrs {
 
@@ -153,80 +154,52 @@ double Schedule::SiteTime(int site) const {
                   SiteLoadLength(site));
 }
 
-double Schedule::SweepSiteFinish(int site,
-                                 std::vector<double>* finish) const {
+double Schedule::DriveSiteTimeline(int site,
+                                   std::vector<double>* finish) const {
   // Arrival order: by start time, placement order within equal starts
   // (starts of one placement round are bit-identical doubles, so exact
   // comparisons keep the sweep deterministic).
   std::vector<int> order;
   order.reserve(SitePlacements(site).size());
   for (int p : SitePlacements(site)) order.push_back(p);
-  std::stable_sort(order.begin(), order.end(), [this](int a, int b) {
-    return placements_[static_cast<size_t>(a)].start <
-           placements_[static_cast<size_t>(b)].start;
-  });
-
-  struct Active {
-    int placement;
-    WorkVector remaining;
-    double own;
+  const auto start_of = [this](int p) {
+    return placements_[static_cast<size_t>(p)].start;
   };
-  std::vector<Active> active;
-  WorkVector load(static_cast<size_t>(dims_));
-  double now = 0.0;
-  double site_finish = 0.0;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int a, int b) { return start_of(a) < start_of(b); });
+
+  // Rebase only at arrival instants: between them the residents run
+  // toward the projected common completion.
+  SiteTimeline timeline(dims_);
+  timeline.Reserve(order.size());
   size_t i = 0;
   const size_t n = order.size();
-  while (i < n || !active.empty()) {
-    if (active.empty()) {
+  const auto admit_through = [&](double t) {
+    for (; i < n && start_of(order[i]) <= t; ++i) {
+      const ClonePlacement& c = placements_[static_cast<size_t>(order[i])];
+      timeline.Admit(order[i], c.work, c.t_seq);
+    }
+  };
+  double site_finish = 0.0;
+  while (i < n || !timeline.empty()) {
+    if (timeline.empty()) {
       // Idle until the next arrival wave.
-      now = std::max(now, placements_[static_cast<size_t>(order[i])].start);
-      while (i < n &&
-             placements_[static_cast<size_t>(order[i])].start <= now) {
-        const ClonePlacement& c = placements_[static_cast<size_t>(order[i])];
-        active.push_back(Active{order[i], c.work, c.t_seq});
-        ++i;
-      }
+      timeline.AdvanceTo(start_of(order[i]));
+      admit_through(timeline.now());
     }
-    // Earliest common completion of the resident set (eq. (2) over the
-    // remaining work).
-    double longest_own = 0.0;
-    load.SetZero();
-    for (const Active& a : active) {
-      longest_own = std::max(longest_own, a.own);
-      load += a.remaining;
-    }
-    const double f = now + std::max(longest_own, load.Length());
-    const double next_arrival =
-        i < n ? placements_[static_cast<size_t>(order[i])].start
-              : std::numeric_limits<double>::infinity();
+    const double f = timeline.Project().finish;
+    const double next_arrival = i < n ? start_of(order[i])
+                                      : std::numeric_limits<double>::infinity();
     if (next_arrival < f) {
-      // A new clone joins mid-wave: the residents have completed the
-      // fraction (next_arrival - now) / (f - now) of their remaining work
-      // (they all progress toward the common instant f), so both the
-      // remaining vectors and the stand-alone remainders scale by the
-      // complementary factor. f > now here since next_arrival >= now.
-      const double factor = (f - next_arrival) / (f - now);
-      for (Active& a : active) {
-        a.remaining *= factor;
-        a.own *= factor;
-      }
-      now = next_arrival;
-      while (i < n &&
-             placements_[static_cast<size_t>(order[i])].start <= now) {
-        const ClonePlacement& c = placements_[static_cast<size_t>(order[i])];
-        active.push_back(Active{order[i], c.work, c.t_seq});
-        ++i;
-      }
+      timeline.AdvanceTo(next_arrival);
+      admit_through(next_arrival);
     } else {
-      // The wave runs to completion: all residents finish together at f.
-      for (const Active& a : active) {
-        if (finish != nullptr) {
-          (*finish)[static_cast<size_t>(a.placement)] = f;
+      if (finish != nullptr) {
+        for (const SiteTimeline::Resident& r : timeline.residents()) {
+          (*finish)[static_cast<size_t>(r.id)] = f;
         }
       }
-      active.clear();
-      now = f;
+      timeline.CompleteWave();
       site_finish = f;
     }
   }
@@ -236,7 +209,7 @@ double Schedule::SweepSiteFinish(int site,
 double Schedule::SiteFinish(int site) const {
   MRS_CHECK(site >= 0 && site < num_sites_) << "site out of range";
   if (aligned_) return SiteTime(site);
-  return SweepSiteFinish(site, nullptr);
+  return DriveSiteTimeline(site, nullptr);
 }
 
 std::vector<double> Schedule::CloneFinishTimes() const {
@@ -247,7 +220,7 @@ std::vector<double> Schedule::CloneFinishTimes() const {
     }
     return finish;
   }
-  for (int j = 0; j < num_sites_; ++j) SweepSiteFinish(j, &finish);
+  for (int j = 0; j < num_sites_; ++j) DriveSiteTimeline(j, &finish);
   return finish;
 }
 

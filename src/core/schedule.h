@@ -145,7 +145,7 @@ class Schedule {
   /// the site join the resident set, and at every arrival instant t the
   /// common completion of the co-resident clones is recomputed as
   ///   F = t + max( max_c own_c(t) , l(sum_c remaining_c(t)) )
-  /// — the eq. (2) rule applied to *remaining* work, which reduces to
+  /// (core/site_timeline.h) — eq. (2) on *remaining* work, which reduces to
   /// SiteTime exactly when all starts are 0 (and that closed form is used
   /// for aligned schedules, keeping the historical code path
   /// byte-identical).
@@ -185,10 +185,11 @@ class Schedule {
     int count = 0;
   };
 
-  /// Event sweep behind SiteFinish/CloneFinishTimes for non-aligned
-  /// schedules; `finish`, when non-null, receives per-placement completion
-  /// times (only entries for `site` are written).
-  double SweepSiteFinish(int site, std::vector<double>* finish) const;
+  /// Drives one SiteTimeline through the site's arrivals (behind
+  /// SiteFinish/CloneFinishTimes for non-aligned schedules); `finish`,
+  /// when non-null, receives per-placement completion times (only entries
+  /// for `site` are written).
+  double DriveSiteTimeline(int site, std::vector<double>* finish) const;
 
   int num_sites_;
   int dims_;

@@ -23,7 +23,8 @@ namespace mrs {
 ///  * ExecuteBackend — real execution: clones are actual partitioned
 ///    hash-join / group-by / sort / scan fragments running on a thread
 ///    pool over generated data (exec/execute_backend.h), with measured
-///    per-clone CPU time alongside the model-time virtual timeline.
+///    per-clone CPU time alongside the model-time virtual timeline (the
+///    schedule's own eq. (2) evaluation, core/site_timeline.h).
 ///
 /// Both return the same ExecutionResult shape, so the differential tests
 /// and the calibrator (exec/calibrate.h) can hold one against the other.
@@ -110,8 +111,9 @@ struct CloneExecution {
 struct ExecutionResult {
   /// The model-time timeline: per-site busy vectors and finish times plus
   /// per-clone completion, directly comparable to
-  /// FluidSimulator::SimulateTimed (the execution differential tests pin
-  /// the two against each other within tolerance).
+  /// FluidSimulator::SimulateTimed, the independent oracle (the execution
+  /// differential tests pin the execute timeline against it within
+  /// tolerance).
   PhaseSimulation timeline;
   /// Per-clone records, parallel to Schedule::placements().
   std::vector<CloneExecution> clones;

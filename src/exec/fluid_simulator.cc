@@ -17,98 +17,7 @@ struct ActiveClone {
   int placement_index;
   WorkVector remaining;     // remaining work per resource
   double remaining_own;     // remaining stand-alone time
-  double total_own;         // original T_seq
 };
-
-/// Simulates one site under the optimal-stretch discipline: at every
-/// event, the earliest feasible common completion instant is
-///   T_fin = now + max( max_c remaining_own_c , l({remaining_c}) )
-/// and every clone runs at rate remaining_c / (T_fin - now). No resource
-/// exceeds unit capacity (the second max term guarantees it) and no clone
-/// runs faster than stand-alone (the first term guarantees it). All clones
-/// finish together, which is exactly the eq. (2) site time when they start
-/// together.
-void SimulateSiteOptimal(std::vector<ActiveClone>* clones,
-                         SiteUtilization* util,
-                         std::vector<double>* finish_times) {
-  double now = 0.0;
-  WorkVector load(util->busy.dim());  // hoisted per-event accumulator
-  while (!clones->empty()) {
-    double longest_own = 0.0;
-    load.SetZero();
-    for (const auto& c : *clones) {
-      longest_own = std::max(longest_own, c.remaining_own);
-      load += c.remaining;
-    }
-    const double t_fin = now + std::max(longest_own, load.Length());
-    for (auto& c : *clones) {
-      util->busy += c.remaining;
-      (*finish_times)[static_cast<size_t>(c.placement_index)] = t_fin;
-    }
-    now = t_fin;
-    clones->clear();
-  }
-  util->finish = now;
-}
-
-/// Simulates one site under naive uniform time slicing: every active clone
-/// progresses at the same speed factor sigma = min(1, 1/rho) where rho is
-/// the peak resource oversubscription of the active set's stand-alone
-/// rates. Clones finish one by one; each completion releases capacity and
-/// sigma is recomputed.
-void SimulateSiteUniform(std::vector<ActiveClone>* clones,
-                         SiteUtilization* util,
-                         std::vector<double>* finish_times) {
-  double now = 0.0;
-  WorkVector rate_sum(util->busy.dim());  // hoisted per-event accumulator
-  while (!clones->empty()) {
-    // Rates r_c[i] = W_c[i] / T_seq_c are constant over a clone's life
-    // (uniform usage, A3); remaining work = r * remaining_own.
-    rate_sum.SetZero();
-    for (const auto& c : *clones) {
-      if (c.remaining_own <= kTimeTol) continue;
-      // Division, not reciprocal-multiply: keeps the event series (and the
-      // golden schedules derived from it) bit-identical.
-      for (size_t i = 0; i < rate_sum.dim(); ++i) {
-        rate_sum[i] += c.remaining[i] / c.remaining_own;
-      }
-    }
-    const double rho = rate_sum.Length();
-    const double sigma = rho > 1.0 ? 1.0 / rho : 1.0;
-
-    // Next completion.
-    double min_own = std::numeric_limits<double>::infinity();
-    for (const auto& c : *clones) {
-      min_own = std::min(min_own, c.remaining_own);
-    }
-    const double dt = min_own / sigma;
-
-    // Advance all clones by dt wall time (sigma*dt own time). The
-    // consumed = remaining * fraction temporary is fused into two
-    // in-place scaled adds: busy[i] += r[i]*f and r[i] += r[i]*(-f) are
-    // bit-identical to the add/subtract of the materialized temporary
-    // (IEEE sign flip is exact).
-    for (auto& c : *clones) {
-      const double own_progress = sigma * dt;
-      const double fraction =
-          c.remaining_own > 0 ? own_progress / c.remaining_own : 1.0;
-      const double f = std::min(fraction, 1.0);
-      util->busy.AddScaled(c.remaining, f);
-      c.remaining.AddScaled(c.remaining, -f);
-      c.remaining_own -= own_progress;
-    }
-    now += dt;
-    for (auto it = clones->begin(); it != clones->end();) {
-      if (it->remaining_own <= kTimeTol) {
-        (*finish_times)[static_cast<size_t>(it->placement_index)] = now;
-        it = clones->erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  util->finish = now;
-}
 
 /// A clone that joins its site mid-simulation.
 struct TimedClone {
@@ -118,16 +27,20 @@ struct TimedClone {
 
 /// Optimal-stretch discipline with staggered arrivals: between events the
 /// resident set progresses toward the common completion
-/// t_fin = now + max(max own, l(sum remaining)); an arrival before t_fin
-/// rebases every resident's remaining work by the complementary fraction
-/// and the common completion is recomputed over the enlarged set. With all
-/// starts at 0 this collapses to the single event of SimulateSiteOptimal.
+/// t_fin = now + max(max own, l(sum remaining)) at rate remaining /
+/// (t_fin - now) — no resource exceeds unit capacity (the second max term)
+/// and no clone runs faster than stand-alone (the first). An arrival before
+/// t_fin rebases every resident's remaining work by the complementary
+/// fraction and the common completion is recomputed over the enlarged set.
+/// With all starts at 0 this is a single event whose t_fin is exactly the
+/// eq. (2) site time.
 void SimulateSiteOptimalTimed(std::vector<TimedClone>* arrivals,
                               SiteUtilization* util,
                               std::vector<double>* finish_times) {
   double now = 0.0;
   WorkVector load(util->busy.dim());  // hoisted per-event accumulator
   std::vector<ActiveClone> active;
+  active.reserve(arrivals->size());
   size_t i = 0;
   const size_t n = arrivals->size();
   while (i < n || !active.empty()) {
@@ -174,14 +87,21 @@ void SimulateSiteOptimalTimed(std::vector<TimedClone>* arrivals,
   util->finish = now;
 }
 
-/// Uniform time slicing with staggered arrivals: the event horizon is the
-/// earlier of the next completion (min own / sigma) and the next arrival.
+/// Naive uniform time slicing with staggered arrivals: every active clone
+/// progresses at the same speed factor sigma = min(1, 1/rho) where rho is
+/// the peak resource oversubscription of the active set's stand-alone
+/// rates (r_c[i] = W_c[i] / T_seq_c, constant over a clone's life by A3).
+/// The event horizon is the earlier of the next completion (min own /
+/// sigma) and the next arrival; each completion releases capacity and
+/// sigma is recomputed. With all starts at 0 the arrival term is infinite
+/// and the horizon is min own / sigma.
 void SimulateSiteUniformTimed(std::vector<TimedClone>* arrivals,
                               SiteUtilization* util,
                               std::vector<double>* finish_times) {
   double now = 0.0;
   WorkVector rate_sum(util->busy.dim());  // hoisted per-event accumulator
   std::vector<ActiveClone> active;
+  active.reserve(arrivals->size());
   size_t i = 0;
   const size_t n = arrivals->size();
   while (i < n || !active.empty()) {
@@ -195,6 +115,8 @@ void SimulateSiteUniformTimed(std::vector<TimedClone>* arrivals,
     rate_sum.SetZero();
     for (const auto& c : active) {
       if (c.remaining_own <= kTimeTol) continue;
+      // Division, not reciprocal-multiply: keeps the event series (and the
+      // golden schedules derived from it) bit-identical.
       for (size_t r = 0; r < rate_sum.dim(); ++r) {
         rate_sum[r] += c.remaining[r] / c.remaining_own;
       }
@@ -211,6 +133,11 @@ void SimulateSiteUniformTimed(std::vector<TimedClone>* arrivals,
               : std::numeric_limits<double>::infinity();
     const double dt = std::min(min_own / sigma, next_arrival - now);
 
+    // Advance all clones by dt wall time (sigma*dt own time). The
+    // consumed = remaining * fraction temporary is fused into two in-place
+    // scaled adds: busy[i] += r[i]*f and r[i] += r[i]*(-f) are
+    // bit-identical to the add/subtract of the materialized temporary
+    // (IEEE sign flip is exact).
     for (auto& c : active) {
       const double own_progress = sigma * dt;
       const double fraction =
@@ -237,48 +164,12 @@ void SimulateSiteUniformTimed(std::vector<TimedClone>* arrivals,
   util->finish = now;
 }
 
-}  // namespace
-
-Result<PhaseSimulation> FluidSimulator::SimulatePhase(
-    const Schedule& schedule) const {
-  PhaseSimulation sim;
-  sim.sites.assign(static_cast<size_t>(schedule.num_sites()),
-                   SiteUtilization{
-                       WorkVector(static_cast<size_t>(schedule.dims())), 0.0});
-  sim.clone_finish.assign(schedule.placements().size(), 0.0);
-
-  for (int j = 0; j < schedule.num_sites(); ++j) {
-    std::vector<ActiveClone> clones;
-    clones.reserve(schedule.SitePlacements(j).size());
-    for (int p : schedule.SitePlacements(j)) {
-      const ClonePlacement& placement =
-          schedule.placements()[static_cast<size_t>(p)];
-      ActiveClone c;
-      c.placement_index = p;
-      c.remaining = placement.work;
-      c.remaining_own = placement.t_seq;
-      c.total_own = placement.t_seq;
-      if (!SequentialTimeWithinBounds(placement.work, placement.t_seq,
-                                      1e-6)) {
-        return Status::InvalidArgument(
-            StrFormat("clone of op%d violates max <= T_seq <= sum",
-                      placement.op_id));
-      }
-      clones.push_back(std::move(c));
-    }
-    SiteUtilization* util = &sim.sites[static_cast<size_t>(j)];
-    if (policy_ == SharingPolicy::kOptimalStretch) {
-      SimulateSiteOptimal(&clones, util, &sim.clone_finish);
-    } else {
-      SimulateSiteUniform(&clones, util, &sim.clone_finish);
-    }
-    sim.makespan = std::max(sim.makespan, util->finish);
-  }
-  return sim;
-}
-
-Result<PhaseSimulation> FluidSimulator::SimulateTimed(
-    const Schedule& schedule) const {
+/// Shared body of SimulatePhase / SimulateTimed: per site, the clones in
+/// arrival order (start time, placement order within equal starts; every
+/// start pinned to 0 unless `honor_starts`) through the policy's loop.
+Result<PhaseSimulation> SimulateArrivals(const Schedule& schedule,
+                                         SharingPolicy policy,
+                                         bool honor_starts) {
   PhaseSimulation sim;
   sim.sites.assign(static_cast<size_t>(schedule.num_sites()),
                    SiteUtilization{
@@ -291,10 +182,11 @@ Result<PhaseSimulation> FluidSimulator::SimulateTimed(
     for (int p : schedule.SitePlacements(j)) {
       const ClonePlacement& placement =
           schedule.placements()[static_cast<size_t>(p)];
-      if (placement.start < 0.0) {
+      const double start = honor_starts ? placement.start : 0.0;
+      if (start < 0.0) {
         return Status::InvalidArgument(
             StrFormat("clone of op%d starts at %g < 0", placement.op_id,
-                      placement.start));
+                      start));
       }
       if (!SequentialTimeWithinBounds(placement.work, placement.t_seq,
                                       1e-6)) {
@@ -302,21 +194,17 @@ Result<PhaseSimulation> FluidSimulator::SimulateTimed(
             StrFormat("clone of op%d violates max <= T_seq <= sum",
                       placement.op_id));
       }
-      TimedClone t;
-      t.start = placement.start;
-      t.clone.placement_index = p;
-      t.clone.remaining = placement.work;
-      t.clone.remaining_own = placement.t_seq;
-      t.clone.total_own = placement.t_seq;
-      arrivals.push_back(std::move(t));
+      arrivals.push_back(
+          TimedClone{start, ActiveClone{p, placement.work, placement.t_seq}});
     }
-    // Arrival order: start time, placement order within equal starts.
-    std::stable_sort(arrivals.begin(), arrivals.end(),
-                     [](const TimedClone& a, const TimedClone& b) {
-                       return a.start < b.start;
-                     });
+    if (honor_starts) {
+      std::stable_sort(arrivals.begin(), arrivals.end(),
+                       [](const TimedClone& a, const TimedClone& b) {
+                         return a.start < b.start;
+                       });
+    }
     SiteUtilization* util = &sim.sites[static_cast<size_t>(j)];
-    if (policy_ == SharingPolicy::kOptimalStretch) {
+    if (policy == SharingPolicy::kOptimalStretch) {
       SimulateSiteOptimalTimed(&arrivals, util, &sim.clone_finish);
     } else {
       SimulateSiteUniformTimed(&arrivals, util, &sim.clone_finish);
@@ -324,6 +212,18 @@ Result<PhaseSimulation> FluidSimulator::SimulateTimed(
     sim.makespan = std::max(sim.makespan, util->finish);
   }
   return sim;
+}
+
+}  // namespace
+
+Result<PhaseSimulation> FluidSimulator::SimulatePhase(
+    const Schedule& schedule) const {
+  return SimulateArrivals(schedule, policy_, /*honor_starts=*/false);
+}
+
+Result<PhaseSimulation> FluidSimulator::SimulateTimed(
+    const Schedule& schedule) const {
+  return SimulateArrivals(schedule, policy_, /*honor_starts=*/true);
 }
 
 Result<SimulationResult> FluidSimulator::Simulate(

@@ -63,7 +63,10 @@ struct SimulationResult {
 /// SharingPolicy::kOptimalStretch the simulated phase makespan equals the
 /// eq. (3) value reported by Schedule::Makespan() (tests assert equality
 /// to floating-point tolerance), while kUniformSlowdown shows the price of
-/// a naive engine.
+/// a naive engine. It is the one independent oracle of the staggered
+/// eq. (2) rule (core/site_timeline.h): it mutates work vectors and
+/// accumulates busy time on its own, and the differential suites hold the
+/// engines, the execute backend and the online scheduler against it.
 class FluidSimulator {
  public:
   explicit FluidSimulator(const OverlapUsageModel& usage,
@@ -71,9 +74,9 @@ class FluidSimulator {
       : usage_(usage), policy_(policy) {}
 
   /// Simulates one phase: all clones of `schedule` start at time 0 on
-  /// their sites. Historical phase-aligned entry point — per-clone start
-  /// times are ignored (see SimulateTimed for schedules that stagger
-  /// them).
+  /// their sites. Historical phase-aligned entry point — SimulateTimed's
+  /// loops with every per-clone start pinned to 0 (see SimulateTimed for
+  /// schedules that stagger them).
   Result<PhaseSimulation> SimulatePhase(const Schedule& schedule) const;
 
   /// Simulates one schedule honoring per-clone start times

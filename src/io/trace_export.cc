@@ -1,7 +1,6 @@
 #include "io/trace_export.h"
 
 #include "common/json_writer.h"
-#include "common/str_util.h"
 
 namespace mrs {
 
@@ -24,33 +23,40 @@ void AppendSpan(const TraceSpan& span, JsonWriter* out) {
   out->Raw("}}");
 }
 
+void AppendTrace(const ScheduleTrace& trace, JsonWriter* out) {
+  out->Raw("{\"label\":").String(trace.label()).Raw(",\"spans\":[");
+  const std::vector<TraceSpan> spans = trace.spans();
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (i > 0) out->Raw(',');
+    AppendSpan(spans[i], out);
+  }
+  out->Raw("]}");
+}
+
 }  // namespace
 
 std::string TraceToJson(const ScheduleTrace& trace) {
   std::string out;
   JsonWriter w(&out);
-  w.Raw("{\"label\":").String(trace.label()).Raw(",\"spans\":[");
-  const std::vector<TraceSpan> spans = trace.spans();
-  for (size_t i = 0; i < spans.size(); ++i) {
-    if (i > 0) w.Raw(',');
-    AppendSpan(spans[i], &w);
-  }
-  w.Raw("]}");
+  AppendTrace(trace, &w);
   return out;
 }
 
 std::string ExportTraceReport(const std::vector<const ScheduleTrace*>& traces,
                               const MetricsSnapshot& metrics) {
-  std::string out = StrFormat("{\"version\":%d,\"traces\":[",
-                              kTraceExportVersion);
+  std::string out;
+  JsonWriter w(&out);
+  w.Raw("{\"version\":").Int(kTraceExportVersion).Raw(",\"traces\":[");
   bool first = true;
   for (const ScheduleTrace* trace : traces) {
     if (trace == nullptr) continue;
-    if (!first) out += ",";
+    if (!first) w.Raw(',');
     first = false;
-    out += TraceToJson(*trace);
+    AppendTrace(*trace, &w);
   }
-  out += StrFormat("],\"metrics\":%s}", metrics.ToJson().c_str());
+  w.Raw("],\"metrics\":");
+  metrics.AppendJson(&w);
+  w.Raw('}');
   return out;
 }
 

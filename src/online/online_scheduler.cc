@@ -6,8 +6,8 @@
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "core/list_schedule.h"
+#include "core/site_timeline.h"
 #include "cost/cost_model.h"
-#include "exec/fluid_simulator.h"
 #include "plan/operator_tree.h"
 #include "plan/task_tree.h"
 
@@ -46,7 +46,7 @@ ListScheduleOptions ListOptionsFrom(const OnlineSchedulerOptions& options,
   out.list_options = options.tree.list_options;
   out.cache = cache;
   out.trace = trace;
-  out.base_load = base_load;
+  out.list_options.base_load = base_load;
   return out;
 }
 
@@ -302,67 +302,41 @@ void OnlineScheduler::PlaceNextPhase(QueryRec* rec) {
 
   SpanTimer place_span(rec->result.trace.get(), "online_place", k);
 
-  // Union schedule over the touched sites: each resident reservation
-  // (with its *remaining* work) and each new clone becomes a synthetic
-  // degree-1 operator, residents first, new clones in placement order.
-  // The eq. (2)-exact fluid model over this union predicts when the new
-  // clones complete under contention.
-  const int num_sites = machine_.num_sites;
-  std::vector<char> touched(static_cast<size_t>(num_sites), 0);
-  for (const ClonePlacement& p : phase->schedule.placements()) {
-    touched[static_cast<size_t>(p.site)] = 1;
-  }
-  Schedule union_sched(num_sites, machine_.dims);
-  std::vector<double> serial(static_cast<size_t>(num_sites), 0.0);
-  int next_synth_id = 0;
-  const auto add_clone = [&](const WorkVector& work, double t_seq, int site) {
-    ParallelizedOp synth;
-    synth.op_id = next_synth_id++;
-    synth.degree = 1;
-    synth.clones = {work};
-    synth.t_seq = {t_seq};
-    synth.t_par = t_seq;
-    const Status placed = union_sched.Place(synth, 0, site);
-    MRS_CHECK(placed.ok()) << placed.ToString();
-    serial[static_cast<size_t>(site)] += t_seq;
-  };
-  int resident_count = 0;
-  for (int s = 0; s < num_sites; ++s) {
-    if (!touched[static_cast<size_t>(s)]) continue;
-    for (const ResidentClone& c : resident_[static_cast<size_t>(s)]) {
-      const double frac = RemainingFraction(c.start, c.finish, now_);
-      add_clone(c.work * frac, c.t_seq * frac, s);
-      ++resident_count;
-    }
-  }
-  for (const ClonePlacement& p : phase->schedule.placements()) {
-    add_clone(p.work, p.t_seq, p.site);
-  }
-
-  const FluidSimulator simulator(usage_, SharingPolicy::kOptimalStretch);
-  auto sim = simulator.SimulatePhase(union_sched);
-  if (!sim.ok()) {
-    place_span.End();
-    AbortQuery(rec, sim.status());
-    return;
-  }
-
-  // Reserve the new clones at their predicted completion instants and
-  // close the phase at the barrier (the last new clone's finish).
-  double barrier = 0.0;
+  // Each touched site shares its resources under eq. (2) between its
+  // resident reservations (with their *remaining* work) and the new
+  // clones, residents first, new clones in placement order; all of them
+  // complete together at the site's projected F (measured from now_).
+  // Reserve the new clones at that instant and close the phase at the
+  // barrier (the last touched site's F).
   const auto& placements = phase->schedule.placements();
-  for (size_t i = 0; i < placements.size(); ++i) {
-    const double fin =
-        sim->clone_finish[static_cast<size_t>(resident_count) + i];
-    barrier = std::max(barrier, fin);
-    resident_[static_cast<size_t>(placements[i].site)].push_back(
-        ResidentClone{rec->result.id, placements[i].work, placements[i].t_seq,
-                      now_, now_ + fin});
-  }
+  int resident_count = 0;
+  double barrier = 0.0;
   double serial_bound = 0.0;
-  for (int s = 0; s < num_sites; ++s) {
-    if (touched[static_cast<size_t>(s)]) {
-      serial_bound = std::max(serial_bound, serial[static_cast<size_t>(s)]);
+  for (int s = 0; s < machine_.num_sites; ++s) {
+    const auto new_clones = phase->schedule.SitePlacements(s);
+    if (new_clones.empty()) continue;
+    std::vector<ResidentClone>& site = resident_[static_cast<size_t>(s)];
+    SiteTimeline timeline(machine_.dims);
+    timeline.Reserve(site.size() + new_clones.size());
+    double serial = 0.0;
+    for (const ResidentClone& c : site) {
+      const double frac = RemainingFraction(c.start, c.finish, now_);
+      timeline.Admit(-1, c.work * frac, c.t_seq * frac);
+      serial += c.t_seq * frac;
+    }
+    resident_count += static_cast<int>(site.size());
+    for (int p : new_clones) {
+      const ClonePlacement& c = placements[static_cast<size_t>(p)];
+      timeline.Admit(p, c.work, c.t_seq);
+      serial += c.t_seq;
+    }
+    const double fin = timeline.Project().finish;
+    barrier = std::max(barrier, fin);
+    serial_bound = std::max(serial_bound, serial);
+    for (int p : new_clones) {
+      const ClonePlacement& c = placements[static_cast<size_t>(p)];
+      site.push_back(ResidentClone{rec->result.id, c.work, c.t_seq, now_,
+                                   now_ + fin});
     }
   }
 

@@ -23,12 +23,12 @@ namespace mrs {
 /// Per-query scheduling engine of the online scheduler.
 enum class OnlineEngine {
   /// Phased TREESCHEDULE: phases are placed one at a time against the
-  /// residual load, and contended completions are predicted by the fluid
-  /// union model (the default, byte-identical to the historical behavior).
+  /// residual load, and contended completions are predicted by eq. (2)
+  /// over each touched site's residents plus new clones (the default).
   kTree,
   /// Barrier-free LISTSCHEDULE: the whole query is scheduled one-shot at
   /// admission with the residual-load snapshot threaded through
-  /// ListScheduleOptions::base_load (ROADMAP item 1's leftover), so the
+  /// ListScheduleOptions::list_options.base_load, so the
   /// least-loaded rule steers every placement round away from busy sites.
   /// Clone start/finish times become staggered reservations on the
   /// virtual clock and the query completes at its list makespan. The
@@ -38,8 +38,8 @@ enum class OnlineEngine {
 };
 
 struct OnlineSchedulerOptions {
-  /// Overlap epsilon of the usage model (EA2) used for costing, placement,
-  /// and the fluid completion model.
+  /// Overlap epsilon of the usage model (EA2) used for costing and
+  /// placement.
   double overlap_eps = 0.5;
   int num_disks = 1;
   /// Per-query TREESCHEDULE knobs. `cache` and `trace` are managed by the
@@ -145,9 +145,9 @@ struct OnlineQueryResult {
 /// load — the remaining work vectors of the clones of co-resident queries
 /// — so OPERATORSCHEDULE's least-loaded rule (eq. (2)/(3) over the union
 /// of resident and new clones) becomes an incremental, residual-capacity
-/// variant. Phase completions are predicted by the eq. (2)-exact fluid
-/// model (FluidSimulator, kOptimalStretch) over the union schedule of each
-/// touched site and drive the event loop.
+/// variant. Phase completions are predicted by eq. (2) over each touched
+/// site's resident set (core/site_timeline.h: residents with their
+/// remaining work, then the new clones) and drive the event loop.
 ///
 /// The model is non-preemptive in reservations: a placed clone's finish
 /// time is fixed when its phase is placed; later arrivals see its

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "json_check.h"
+
 namespace mrs {
 namespace {
 
@@ -216,6 +218,22 @@ TEST(MetricsRegistryTest, SnapshotJsonShape) {
       << json;
   EXPECT_NE(json.find("\"h\":{\"count\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"p99\":"), std::string::npos) << json;
+}
+
+TEST(MetricsRegistryTest, SnapshotJsonEscapesMetricNames) {
+  // Metric names are JSON strings: a quote, backslash or control
+  // character in a name must not break the document.
+  MetricsRegistry reg;
+  reg.GetCounter("say \"hi\"")->Increment(3);
+  reg.GetGauge("back\\slash")->Set(0.25);
+  reg.GetHistogram("tab\there")->Record(2.0);
+  const std::string json = reg.Snapshot().ToJson();
+  EXPECT_TRUE(testing_util::IsValidJson(json)) << json;
+  EXPECT_NE(json.find("\"say \\\"hi\\\"\":3"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"back\\\\slash\":0.250000"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"tab\\there\":{\"count\":1"), std::string::npos)
+      << json;
 }
 
 TEST(MetricsRegistryTest, GlobalIsASingleton) {

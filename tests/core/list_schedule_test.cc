@@ -225,7 +225,8 @@ TEST(ListScheduleTest, GuardOffCanLoseToTreeButStillValid) {
 }
 
 TEST(ListScheduleTest, MakespanMatchesScheduleSweep) {
-  // The engine's event loop and Schedule's authoritative SweepSiteFinish
+  // The engine's event loop (per-round rebasing) and Schedule's sweep
+  // (rebasing at arrival instants only) drive the same SiteTimeline and
   // must tell the same story: same makespan, same per-clone finishes.
   for (int sites : {3, 8, 20}) {
     PlanFixture fx = PipelinedChainFixture(4);
@@ -310,28 +311,12 @@ TEST(ListScheduleTest, SingleSiteMachineWorks) {
   for (const ParallelizedOp& op : list.ops) EXPECT_EQ(op.degree, 1);
 }
 
-// --- External base load: the two threading points agree and cannot be
-// set together. ---
+// --- External base load: one field, honored by every round and the guard.
 
-TEST(ListScheduleTest, BaseLoadInBothFieldsIsRejected) {
-  PlanFixture fx = BushyFourWayFixture();
-  MachineConfig machine = Machine(6);
-  std::vector<WorkVector> load(
-      static_cast<size_t>(machine.num_sites),
-      WorkVector(static_cast<size_t>(machine.dims)));
-  OverlapUsageModel usage(0.5);
-  ListScheduleOptions options;
-  options.base_load = &load;
-  options.list_options.base_load = &load;
-  auto result = ListSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
-                             machine, usage, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ListScheduleTest, ListOptionsBaseLoadMatchesTopLevelBaseLoad) {
-  // list_options.base_load is honored identically to the top-level field:
-  // same placements, same makespan, byte-identical JSON.
+TEST(ListScheduleTest, ListOptionsBaseLoadReachesRoundsAndGuard) {
+  // list_options.base_load steers the greedy rounds (placements move off
+  // the loaded sites) and is the same load the tree_guard's TREESCHEDULE
+  // sees (its response time equals a direct TreeSchedule call's).
   PlanFixture fx = BushyFourWayFixture();
   MachineConfig machine = Machine(6);
   std::vector<WorkVector> load(
@@ -341,20 +326,22 @@ TEST(ListScheduleTest, ListOptionsBaseLoadMatchesTopLevelBaseLoad) {
   load[1] = WorkVector({40.0, 25.0, 5.0});
   OverlapUsageModel usage(0.5);
 
-  ListScheduleOptions top;
-  top.base_load = &load;
-  auto via_top = ListSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
-                              machine, usage, top);
-  ASSERT_TRUE(via_top.ok()) << via_top.status().ToString();
+  ListScheduleOptions loaded;
+  loaded.list_options.base_load = &load;
+  auto with_load = ListSchedule(fx.op_tree, fx.task_tree, fx.costs,
+                                CostParams{}, machine, usage, loaded);
+  ASSERT_TRUE(with_load.ok()) << with_load.status().ToString();
+  auto idle = ListSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
+                           machine, usage);
+  ASSERT_TRUE(idle.ok()) << idle.status().ToString();
+  EXPECT_NE(ListScheduleToJson(*with_load), ListScheduleToJson(*idle));
 
-  ListScheduleOptions nested;
-  nested.list_options.base_load = &load;
-  auto via_nested = ListSchedule(fx.op_tree, fx.task_tree, fx.costs,
-                                 CostParams{}, machine, usage, nested);
-  ASSERT_TRUE(via_nested.ok()) << via_nested.status().ToString();
-
-  EXPECT_EQ(ListScheduleToJson(*via_top), ListScheduleToJson(*via_nested));
-  EXPECT_DOUBLE_EQ(via_top->makespan, via_nested->makespan);
+  TreeScheduleOptions tree_options;
+  tree_options.list_options.base_load = &load;
+  auto tree = TreeSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
+                           machine, usage, tree_options);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(with_load->tree_response_time, tree->response_time);
 }
 
 // --- Pipelined mode: rate matching + co-residency under the guard. ---

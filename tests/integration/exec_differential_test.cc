@@ -1,11 +1,11 @@
 // Differential execution harness: every plan is scheduled by the engines
 // (TREESCHEDULE, LISTSCHEDULE task-wave and pipelined, SYNCHRONOUS) and
-// then *run* on the execute backend, whose virtual timeline — an independent realization of
-// the optimal-stretch fluid discipline (per-clone remaining fractions,
-// exec/execute_backend.cc) — must agree with the fluid simulator's
-// SimulateTimed (mutated remaining work vectors, exec/fluid_simulator.cc)
-// within tolerance on every site finish time, busy vector, clone
-// completion, and the phase makespan. The SYNCHRONOUS baseline emits task
+// then *run* on the execute backend, whose virtual timeline — the
+// schedule's own eq. (2) evaluation through the SiteTimeline kernel
+// (core/site_timeline.h) — must agree with the fluid simulator's
+// SimulateTimed, the one independent oracle (mutated remaining work
+// vectors, exec/fluid_simulator.cc), within tolerance on every site
+// finish time, busy vector, clone completion, and the phase makespan. The SYNCHRONOUS baseline emits task
 // placements rather than a Schedule, so its plan is reconstructed with
 // ParallelizeRooted + PlaceAt at each task's start instant and compared on
 // the same shared timeline.
@@ -101,9 +101,10 @@ bool BuildInputs(const ExecDiffCase& c, Rng* stream, EngineInputs* inputs) {
 }
 
 /// The two timelines must agree everywhere: both implement eq. (2) on
-/// remaining work under staggered arrivals, one via fractions, one via
-/// mutated vectors, so differences beyond floating-point noise are bugs
-/// in either realization.
+/// remaining work under staggered arrivals, one through the SiteTimeline
+/// kernel, one through the simulator's own mutated vectors and busy-time
+/// integration, so differences beyond floating-point noise are bugs in
+/// either realization.
 void ExpectTimelinesAgree(const PhaseSimulation& exec,
                           const PhaseSimulation& sim,
                           const Schedule& schedule) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "common/rng.h"
 #include "core/list_schedule.h"
 #include "core/tree_schedule.h"
+#include "exec/fluid_simulator.h"
 #include "io/schedule_export.h"
 #include "test_util.h"
 
@@ -191,6 +194,156 @@ TEST(OnlineSchedulerTest, ContendedPhasesStayWithinModelBounds) {
   }
   // On 4 shared sites the overlap must actually bite somewhere.
   EXPECT_TRUE(contended);
+}
+
+/// The kTree contended-completion model as a test-local oracle, in its
+/// original form: every resident reservation of a touched site (with its
+/// remaining work, linear decay between start and finish) and every new
+/// clone become synthetic degree-1 operators of one union Schedule,
+/// residents first, new clones in placement order, and
+/// FluidSimulator::SimulatePhase predicts their completions.
+class UnionScheduleOracle {
+ public:
+  explicit UnionScheduleOracle(const MachineConfig& machine)
+      : machine_(machine),
+        resident_(static_cast<size_t>(machine.num_sites)) {}
+
+  /// Places one phase at `now`; returns its contended duration.
+  double PlacePhase(const Schedule& phase, double now) {
+    for (auto& site : resident_) {
+      site.erase(std::remove_if(site.begin(), site.end(),
+                                [now](const Reservation& c) {
+                                  return c.finish <= now + 1e-9;
+                                }),
+                 site.end());
+    }
+    const int num_sites = machine_.num_sites;
+    std::vector<char> touched(static_cast<size_t>(num_sites), 0);
+    for (const ClonePlacement& p : phase.placements()) {
+      touched[static_cast<size_t>(p.site)] = 1;
+    }
+    Schedule union_sched(num_sites, machine_.dims);
+    int next_synth_id = 0;
+    const auto add_clone = [&](const WorkVector& work, double t_seq,
+                               int site) {
+      ParallelizedOp synth;
+      synth.op_id = next_synth_id++;
+      synth.degree = 1;
+      synth.clones = {work};
+      synth.t_seq = {t_seq};
+      synth.t_par = t_seq;
+      EXPECT_TRUE(union_sched.Place(synth, 0, site).ok());
+    };
+    int resident_count = 0;
+    for (int s = 0; s < num_sites; ++s) {
+      if (!touched[static_cast<size_t>(s)]) continue;
+      for (const Reservation& c : resident_[static_cast<size_t>(s)]) {
+        const double span = c.finish - c.start;
+        const double frac =
+            span <= 0 ? 0.0
+                      : std::min(1.0, std::max(0.0, (c.finish - now) / span));
+        add_clone(c.work * frac, c.t_seq * frac, s);
+        ++resident_count;
+      }
+    }
+    for (const ClonePlacement& p : phase.placements()) {
+      add_clone(p.work, p.t_seq, p.site);
+    }
+    const FluidSimulator simulator(usage_, SharingPolicy::kOptimalStretch);
+    auto sim = simulator.SimulatePhase(union_sched);
+    EXPECT_TRUE(sim.ok()) << sim.status().ToString();
+    double barrier = 0.0;
+    const auto& placements = phase.placements();
+    for (size_t i = 0; i < placements.size(); ++i) {
+      const double fin =
+          sim->clone_finish[static_cast<size_t>(resident_count) + i];
+      barrier = std::max(barrier, fin);
+      resident_[static_cast<size_t>(placements[i].site)].push_back(
+          Reservation{placements[i].work, placements[i].t_seq, now,
+                      now + fin});
+    }
+    contended_ = contended_ || resident_count > 0;
+    return barrier;
+  }
+
+  /// True once some phase shared a site with a resident reservation.
+  bool contended() const { return contended_; }
+
+ private:
+  struct Reservation {
+    WorkVector work;
+    double t_seq = 0.0;
+    double start = 0.0;
+    double finish = 0.0;
+  };
+  MachineConfig machine_;
+  OverlapUsageModel usage_{0.5};
+  std::vector<std::vector<Reservation>> resident_;
+  bool contended_ = false;
+};
+
+TEST(OnlineSchedulerTest, ContendedTreePhasesMatchUnionScheduleOracleBitwise) {
+  // A seeded Poisson-like arrival sequence of mixed plans on 6 shared
+  // sites: every phase's contended duration must equal, bit for bit, the
+  // union-schedule computation replayed phase by phase in placement order.
+  std::vector<PlanFixture> plans;
+  plans.push_back(BushyFourWayFixture());
+  plans.push_back(PipelinedChainFixture(3));
+  plans.push_back(PipelinedChainFixture(2, 20000));
+  plans.push_back(SingleJoinFixture(8000, 3000));
+  MachineConfig machine;
+  machine.num_sites = 6;
+
+  MetricsRegistry metrics;
+  OnlineSchedulerOptions options;
+  options.metrics = &metrics;
+  options.admission.max_in_flight = 64;
+  OnlineScheduler sched(CostParams{}, machine, options);
+  Rng rng(0x0d1e5eedULL);
+  std::vector<uint64_t> ids;
+  double arrival = 0.0;
+  for (int q = 0; q < 24; ++q) {
+    ids.push_back(
+        sched.Submit(*plans[rng.Index(plans.size())].plan, arrival));
+    const double scale = sched.result(ids.front())->expected_makespan_ms;
+    arrival += scale * rng.UniformDouble(0.05, 0.6);
+  }
+  ASSERT_TRUE(sched.Drain().ok());
+
+  struct PlacedPhase {
+    double start_ms;
+    double duration_ms;
+    const Schedule* schedule;
+  };
+  std::vector<PlacedPhase> placed;
+  for (uint64_t id : ids) {
+    const OnlineQueryResult* r = sched.result(id);
+    ASSERT_NE(r, nullptr);
+    ASSERT_EQ(r->state, OnlineQueryState::kDone);
+    ASSERT_EQ(r->timings.size(), r->schedule.phases.size());
+    for (size_t k = 0; k < r->timings.size(); ++k) {
+      placed.push_back(PlacedPhase{r->timings[k].start_ms,
+                                   r->timings[k].DurationMs(),
+                                   &r->schedule.phases[k].schedule});
+    }
+  }
+  std::stable_sort(placed.begin(), placed.end(),
+                   [](const PlacedPhase& a, const PlacedPhase& b) {
+                     return a.start_ms < b.start_ms;
+                   });
+  // Distinct placement instants make the replay order unambiguous.
+  for (size_t i = 1; i < placed.size(); ++i) {
+    ASSERT_LT(placed[i - 1].start_ms, placed[i].start_ms);
+  }
+
+  UnionScheduleOracle oracle(machine);
+  for (size_t i = 0; i < placed.size(); ++i) {
+    const double now = placed[i].start_ms;
+    const double barrier = oracle.PlacePhase(*placed[i].schedule, now);
+    EXPECT_EQ(placed[i].duration_ms, (now + barrier) - now)
+        << "phase placed at " << now;
+  }
+  EXPECT_TRUE(oracle.contended());
 }
 
 TEST(OnlineSchedulerTest, MplOneQueuesInFifoOrder) {
