@@ -7,9 +7,9 @@ namespace mrs {
 
 namespace {
 
-// "%.6f" of DBL_MAX is 309 integer digits, the point, six decimals and a
-// sign: 317 characters.
-constexpr size_t kFixed6Max = 320;
+// "%.17f" of DBL_MAX is 309 integer digits, the point, 17 decimals and a
+// sign: 328 characters. "%.17g" needs at most 24.
+constexpr size_t kNumberMax = 336;
 
 }  // namespace
 
@@ -27,17 +27,28 @@ JsonWriter& JsonWriter::Uint(uint64_t v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Fixed6(double v) {
-  if (!std::isfinite(v)) {
+JsonWriter& JsonWriter::Number(double v, std::chars_format format,
+                               int precision) {
+  char buf[kNumberMax];
+  std::to_chars_result r{buf, std::errc::invalid_argument};
+  if (std::isfinite(v)) {
+    r = std::to_chars(buf, buf + sizeof(buf), v, format, precision);
+  }
+  if (r.ec != std::errc()) {  // non-finite, or precision out of range
     ok_ = false;
     out_->append("null");
     return *this;
   }
-  char buf[kFixed6Max];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v,
-                               std::chars_format::fixed, 6);
   out_->append(buf, r.ptr);
   return *this;
+}
+
+JsonWriter& JsonWriter::Fixed(double v, int precision) {
+  return Number(v, std::chars_format::fixed, precision);
+}
+
+JsonWriter& JsonWriter::General(double v, int precision) {
+  return Number(v, std::chars_format::general, precision);
 }
 
 JsonWriter& JsonWriter::String(std::string_view s) {

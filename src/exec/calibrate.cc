@@ -193,29 +193,27 @@ double Calibrator::MeanRelativeError(bool fitted) const {
 
 std::string Calibrator::ReportJson() const {
   const std::vector<double> scale = FitScale();
-  std::string out = "{\n";
-  out += "  \"calibration_report_version\": 1,\n";
-  out += StrFormat("  \"meter\": \"%s\",\n", MeterName(exec_.meter));
-  out += StrFormat("  \"data_seed\": %llu,\n",
-                   static_cast<unsigned long long>(exec_.data_seed));
-  out += StrFormat("  \"skew\": %.3f,\n", exec_.skew);
-  out += StrFormat("  \"max_rows_per_op\": %lld,\n",
-                   static_cast<long long>(exec_.max_rows_per_op));
-  out += StrFormat("  \"eps\": %.3f,\n", usage_.epsilon());
-  out += StrFormat("  \"dims\": %d,\n", dims_);
-  out += StrFormat("  \"plans\": %d,\n", num_plans());
-  out += StrFormat("  \"clone_samples\": %d,\n", num_clone_samples());
-  out += "  \"fitted_scale\": [";
+  std::string out;
+  JsonWriter w(&out);
+  w.Raw("{\n  \"calibration_report_version\": 1,\n  \"meter\": ")
+      .String(MeterName(exec_.meter))
+      .Raw(",\n  \"data_seed\": ").Uint(exec_.data_seed)
+      .Raw(",\n  \"skew\": ").Fixed(exec_.skew, 3)
+      .Raw(",\n  \"max_rows_per_op\": ").Int(exec_.max_rows_per_op)
+      .Raw(",\n  \"eps\": ").Fixed(usage_.epsilon(), 3)
+      .Raw(",\n  \"dims\": ").Int(dims_)
+      .Raw(",\n  \"plans\": ").Int(num_plans())
+      .Raw(",\n  \"clone_samples\": ").Int(num_clone_samples())
+      .Raw(",\n  \"fitted_scale\": [");
   for (size_t i = 0; i < scale.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += StrFormat("%.9g", scale[i]);
+    if (i > 0) w.Raw(", ");
+    w.General(scale[i], 9);
   }
-  out += "],\n";
-  out += StrFormat("  \"mean_rel_error_unfitted\": %.6f,\n",
-                   MeanRelativeError(/*fitted=*/false));
-  out += StrFormat("  \"mean_rel_error_fitted\": %.6f,\n",
-                   MeanRelativeError(/*fitted=*/true));
-  out += "  \"per_plan\": [";
+  w.Raw("],\n  \"mean_rel_error_unfitted\": ")
+      .Fixed6(MeanRelativeError(/*fitted=*/false))
+      .Raw(",\n  \"mean_rel_error_fitted\": ")
+      .Fixed6(MeanRelativeError(/*fitted=*/true))
+      .Raw(",\n  \"per_plan\": [");
   for (size_t k = 0; k < plans_.size(); ++k) {
     const PlanSample& plan = plans_[k];
     double fitted_makespan = 0.0;
@@ -223,27 +221,24 @@ std::string Calibrator::ReportJson() const {
       fitted_makespan =
           std::max(fitted_makespan, FittedSiteTime(scale, site));
     }
-    out += k > 0 ? ",\n    {" : "\n    {";
-    out += "\"label\": ";
-    JsonWriter(&out).String(plan.label).Raw(", ");
-    out += StrFormat("\"predicted_makespan_ms\": %.6f, ",
-                     plan.predicted_makespan);
-    out += StrFormat("\"measured_makespan\": %.6f, ", plan.measured_makespan);
-    out += StrFormat("\"fitted_makespan\": %.6f, \"sites\": [",
-                     fitted_makespan);
+    w.Raw(k > 0 ? ",\n    {" : "\n    {")
+        .Raw("\"label\": ").String(plan.label)
+        .Raw(", \"predicted_makespan_ms\": ").Fixed6(plan.predicted_makespan)
+        .Raw(", \"measured_makespan\": ").Fixed6(plan.measured_makespan)
+        .Raw(", \"fitted_makespan\": ").Fixed6(fitted_makespan)
+        .Raw(", \"sites\": [");
     for (size_t s = 0; s < plan.sites.size(); ++s) {
       const SiteSample& site = plan.sites[s];
-      if (s > 0) out += ", ";
-      out += StrFormat(
-          "{\"site\": %d, \"predicted_ms\": %.6f, \"measured\": %.6f, "
-          "\"fitted\": %.6f}",
-          site.site, site.predicted, site.measured,
-          FittedSiteTime(scale, site));
+      if (s > 0) w.Raw(", ");
+      w.Raw("{\"site\": ").Int(site.site)
+          .Raw(", \"predicted_ms\": ").Fixed6(site.predicted)
+          .Raw(", \"measured\": ").Fixed6(site.measured)
+          .Raw(", \"fitted\": ").Fixed6(FittedSiteTime(scale, site))
+          .Raw('}');
     }
-    out += "]}";
+    w.Raw("]}");
   }
-  out += plans_.empty() ? "]\n" : "\n  ]\n";
-  out += "}\n";
+  w.Raw(plans_.empty() ? "]\n" : "\n  ]\n").Raw("}\n");
   return out;
 }
 

@@ -67,7 +67,8 @@ class Calibrator {
 
   /// The versioned JSON calibration report: configuration, fitted scale,
   /// both error metrics, and measured vs predicted per-site makespan for
-  /// every recorded plan. Byte-stable under ExecMeter::kDeterministic.
+  /// every recorded plan. Byte-stable under ExecMeter::kDeterministic; a
+  /// non-finite number is written as null (see JsonWriter).
   std::string ReportJson() const;
 
  private:

@@ -1,7 +1,8 @@
 // Tests for the append-into-buffer JSON writer (common/json_writer.h):
-// Fixed6 is byte-identical to printf("%.6f") on edge and random doubles,
-// integers match %lld/%llu, strings escape to valid JSON, and non-finite
-// numbers are refused (written as null, ok() cleared) rather than printed.
+// Fixed6 / Fixed(·, 3) / General(·, 9) are byte-identical to printf's
+// "%.6f" / "%.3f" / "%.9g" on edge and random doubles, integers match
+// %lld/%llu, strings escape to valid JSON, and non-finite numbers are
+// refused (written as null, ok() cleared) rather than printed.
 
 #include "common/json_writer.h"
 
@@ -31,33 +32,74 @@ std::string Fixed6Of(double v) {
   return out;
 }
 
+std::string Fixed3Of(double v) {
+  std::string out;
+  JsonWriter w(&out);
+  w.Fixed(v, 3);
+  EXPECT_TRUE(w.ok()) << out;
+  return out;
+}
+
+std::string General9Of(double v) {
+  std::string out;
+  JsonWriter w(&out);
+  w.General(v, 9);
+  EXPECT_TRUE(w.ok()) << out;
+  return out;
+}
+
+// Edge doubles for every printf oracle below: signed zero, the rounding
+// boundaries of the sixth and third decimals, exact binary ties, the
+// fixed/scientific switch of %g, huge and denormal magnitudes.
+const double kEdges[] = {
+    0.0,
+    -0.0,
+    5e-7,
+    4.999999e-7,
+    5.000001e-7,
+    1e-6,
+    0.0078125,  // exact binary tie at the sixth decimal
+    0.0000025,
+    1.0000005,
+    0.1,
+    123.4567895,
+    999999.9999995,
+    1e15,
+    1e300,
+    DBL_MAX,
+    DBL_MIN,
+    DBL_TRUE_MIN,  // smallest denormal
+    2.2250738585072009e-308,  // largest denormal
+    4.9e-310,
+    9007199254740993.0,
+    static_cast<double>(INT64_MAX),
+    0.0005,  // %.3f rounding boundary
+    0.0625,  // exact binary tie at the third decimal
+    1.0005,
+    123456789.0,  // nine significant digits, still fixed under %.9g
+    1234567890.0,  // ten: %.9g switches to scientific
+    1e-4,  // %.9g's fixed/scientific boundary below 1
+    9.99999999e-5,
+    0.999999999,
+    0.9999999995,  // rounds up to 1 at nine significant digits
+    1.23456789e-300,
+};
+
 TEST(JsonWriterTest, Fixed6MatchesPrintfOnEdgeDoubles) {
-  const double edges[] = {
-      0.0,
-      -0.0,
-      5e-7,
-      4.999999e-7,
-      5.000001e-7,
-      1e-6,
-      0.0078125,  // exact binary tie at the sixth decimal
-      0.0000025,
-      1.0000005,
-      0.1,
-      123.4567895,
-      999999.9999995,
-      1e15,
-      1e300,
-      DBL_MAX,
-      DBL_MIN,
-      DBL_TRUE_MIN,  // smallest denormal
-      2.2250738585072009e-308,  // largest denormal
-      4.9e-310,
-      9007199254740993.0,
-      static_cast<double>(INT64_MAX),
-  };
-  for (double v : edges) {
+  for (double v : kEdges) {
     for (double signed_v : {v, -v}) {
       EXPECT_EQ(Fixed6Of(signed_v), StrFormat("%.6f", signed_v))
+          << "value " << StrFormat("%a", signed_v);
+    }
+  }
+}
+
+TEST(JsonWriterTest, Fixed3AndGeneral9MatchPrintfOnEdgeDoubles) {
+  for (double v : kEdges) {
+    for (double signed_v : {v, -v}) {
+      EXPECT_EQ(Fixed3Of(signed_v), StrFormat("%.3f", signed_v))
+          << "value " << StrFormat("%a", signed_v);
+      EXPECT_EQ(General9Of(signed_v), StrFormat("%.9g", signed_v))
           << "value " << StrFormat("%a", signed_v);
     }
   }
@@ -76,6 +118,23 @@ TEST(JsonWriterTest, Fixed6MatchesPrintfOnRandomDoubles) {
       if (!std::isfinite(v)) continue;
     }
     ASSERT_EQ(Fixed6Of(v), StrFormat("%.6f", v))
+        << "value " << StrFormat("%a", v);
+  }
+}
+
+TEST(JsonWriterTest, Fixed3AndGeneral9MatchPrintfOnRandomDoubles) {
+  Rng rng(20261019);
+  for (int i = 0; i < 20000; ++i) {
+    double v = rng.LogUniform(1e-12, 1e15);
+    if (rng.Bernoulli(0.5)) v = -v;
+    if (i % 10 == 0) {
+      const uint64_t bits = rng.Next();
+      std::memcpy(&v, &bits, sizeof(v));
+      if (!std::isfinite(v)) continue;
+    }
+    ASSERT_EQ(Fixed3Of(v), StrFormat("%.3f", v))
+        << "value " << StrFormat("%a", v);
+    ASSERT_EQ(General9Of(v), StrFormat("%.9g", v))
         << "value " << StrFormat("%a", v);
   }
 }
@@ -104,6 +163,12 @@ TEST(JsonWriterTest, NonFiniteNumbersAreRefused) {
     EXPECT_FALSE(w.ok());
     EXPECT_EQ(out, "[1.000000,null]");
     EXPECT_TRUE(IsValidJson(out));
+    std::string fixed3;
+    EXPECT_FALSE(JsonWriter(&fixed3).Fixed(v, 3).ok());
+    EXPECT_EQ(fixed3, "null");
+    std::string general;
+    EXPECT_FALSE(JsonWriter(&general).General(v, 9).ok());
+    EXPECT_EQ(general, "null");
   }
   std::string out;
   JsonWriter w(&out);
