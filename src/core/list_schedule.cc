@@ -7,32 +7,12 @@
 
 #include "common/logging.h"
 #include "common/str_util.h"
-#include "core/malleable.h"
 #include "core/site_timeline.h"
 #include "exec/explain.h"
 
 namespace mrs {
 
 namespace {
-
-/// The cost an operator's degree is derived from (see
-/// BuildDegreePolicy::kJoinAware; identical to TREESCHEDULE's rule).
-OperatorCost SizingCost(int oid, const std::vector<OperatorCost>& costs,
-                        const std::unordered_map<int, int>& dependent_of,
-                        BuildDegreePolicy build_degree) {
-  const OperatorCost& own = costs[static_cast<size_t>(oid)];
-  if (build_degree == BuildDegreePolicy::kJoinAware) {
-    auto it = dependent_of.find(oid);
-    if (it != dependent_of.end()) {
-      OperatorCost joint = own;
-      const OperatorCost& dep = costs[static_cast<size_t>(it->second)];
-      joint.processing += dep.processing;
-      joint.data_bytes += dep.data_bytes;
-      return joint;
-    }
-  }
-  return own;
-}
 
 /// Replays a TREESCHEDULE result on the shared timeline: phase k's clones
 /// all start at the sum of the earlier phase makespans. Every site's last
@@ -90,43 +70,20 @@ ListScheduleResult AlignedFallback(const TreeScheduleResult& tree,
 }
 
 /// The greedy virtual-time event loop (steps 1-4 of the header comment),
-/// without either guard, over the validated external base load
-/// (list_options.base_load); `pipeline` enables the rate-matched,
-/// stage-ordered round described at ListScheduleOptions::pipeline; `trace`
-/// is the sink for round spans (null for the shadow baseline runs the
-/// guards make).
+/// without either guard. `planner` parallelizes every readiness wave and
+/// carries the options: its `list_options` drive each round's
+/// OPERATORSCHEDULE pass over the validated external base load, and its
+/// trace receives the round spans (null for the shadow baseline runs the
+/// guards make). `pipeline` enables the rate-matched, stage-ordered round
+/// described at ListScheduleOptions::pipeline.
 Result<ListScheduleResult> GreedyListSchedule(
-    const OperatorTree& op_tree, const TaskTree& task_tree,
-    const std::vector<OperatorCost>& costs, const CostParams& params,
-    const MachineConfig& config, const OverlapUsageModel& usage,
-    const ListScheduleOptions& options, bool pipeline, TraceSink* trace) {
-  const std::vector<WorkVector>* external = options.list_options.base_load;
-  // Parallelization entry points, memoized when a cache is supplied
-  // (identical to TREESCHEDULE's, so the two engines pick the same
-  // degrees for the same readiness sets).
-  auto par_rooted = [&](const OperatorCost& cost, std::vector<int> home) {
-    return options.cache != nullptr
-               ? options.cache->Rooted(cost, std::move(home))
-               : ParallelizeRooted(cost, params, usage, std::move(home),
-                                   config.num_sites);
-  };
-  auto par_floating = [&](const OperatorCost& cost) {
-    return options.cache != nullptr
-               ? options.cache->Floating(cost)
-               : ParallelizeFloating(cost, params, usage, options.granularity,
-                                     config.num_sites);
-  };
-  auto par_at_degree = [&](const OperatorCost& cost, int degree) {
-    return options.cache != nullptr
-               ? options.cache->AtDegree(cost, degree)
-               : ParallelizeAtDegree(cost, params, usage, degree,
-                                     config.num_sites);
-  };
-
-  std::unordered_map<int, int> dependent_of;
-  for (const PhysicalOp& op : op_tree.ops()) {
-    if (op.blocking_input >= 0) dependent_of[op.blocking_input] = op.id;
-  }
+    PhasePlanner& planner, const OperatorTree& op_tree,
+    const TaskTree& task_tree, const std::vector<OperatorCost>& costs,
+    const CostParams& params, const OverlapUsageModel& usage, bool pipeline) {
+  const MachineConfig& config = planner.machine();
+  const OperatorScheduleOptions& list_options = planner.options().list_options;
+  const std::vector<WorkVector>* external = list_options.base_load;
+  TraceSink* const trace = planner.options().trace;
   std::unordered_map<int, int> op_task;
   for (const QueryTask& task : task_tree.tasks()) {
     for (int oid : task.ops) op_task[oid] = task.id;
@@ -152,14 +109,13 @@ Result<ListScheduleResult> GreedyListSchedule(
   std::vector<SiteTimeline> sites(static_cast<size_t>(config.num_sites),
                                   SiteTimeline(config.dims));
   std::vector<int> clone_task;
-  std::unordered_map<int, std::vector<int>> home_of;
   double t = 0.0;
   int completed_tasks = 0;
 
   while (true) {
     if (!ready.empty()) {
       SpanTimer round_span(trace, "list_place", result.rounds);
-      // 1. Parallelize the ready tasks' operators (TREESCHEDULE's rules,
+      // 1. Parallelize the ready tasks' operators (TREESCHEDULE's rule,
       // applied to a readiness wave instead of a shelf).
       std::vector<int> op_ids;
       for (int tid : ready) {
@@ -167,71 +123,9 @@ Result<ListScheduleResult> GreedyListSchedule(
         op_ids.insert(op_ids.end(), task.ops.begin(), task.ops.end());
         result.tasks[static_cast<size_t>(tid)].start = t;
       }
-      std::vector<ParallelizedOp> round_ops;
-      std::vector<int> floating_ids;
-      round_ops.reserve(op_ids.size());
-      for (int oid : op_ids) {
-        const PhysicalOp& op = op_tree.op(oid);
-        const OperatorCost& cost = costs[static_cast<size_t>(oid)];
-        if (op.blocking_input >= 0) {
-          auto home_it = home_of.find(op.blocking_input);
-          if (home_it == home_of.end() || home_it->second.empty()) {
-            return Status::Internal(
-                StrFormat("blocking producer op%d of op%d not scheduled in "
-                          "an earlier round",
-                          op.blocking_input, oid));
-          }
-          auto rooted = par_rooted(cost, home_it->second);
-          if (!rooted.ok()) return rooted.status();
-          round_ops.push_back(std::move(rooted).value());
-        } else {
-          floating_ids.push_back(oid);
-        }
-      }
-      if (options.policy == ParallelizationPolicy::kMalleable) {
-        std::vector<OperatorCost> sizing;
-        sizing.reserve(floating_ids.size());
-        for (int oid : floating_ids) {
-          sizing.push_back(
-              SizingCost(oid, costs, dependent_of, options.build_degree));
-        }
-        SpanTimer malleable_span(trace, "malleable_select", result.rounds);
-        auto selection = SelectMalleableParallelization(
-            sizing, round_ops, params, usage, config.num_sites);
-        if (!selection.ok()) return selection.status();
-        if (malleable_span.active()) {
-          malleable_span.AttrInt("floating_ops",
-                                 static_cast<int64_t>(floating_ids.size()));
-          malleable_span.AttrDouble("lower_bound_ms", selection->lower_bound);
-        }
-        malleable_span.End();
-        for (size_t i = 0; i < floating_ids.size(); ++i) {
-          auto op = par_at_degree(costs[static_cast<size_t>(floating_ids[i])],
-                                  selection->degrees[i]);
-          if (!op.ok()) return op.status();
-          round_ops.push_back(std::move(op).value());
-        }
-      } else {
-        for (int oid : floating_ids) {
-          const OperatorCost& own = costs[static_cast<size_t>(oid)];
-          const bool joint_sizing =
-              options.build_degree == BuildDegreePolicy::kJoinAware &&
-              dependent_of.find(oid) != dependent_of.end();
-          auto sized = par_floating(
-              joint_sizing
-                  ? SizingCost(oid, costs, dependent_of, options.build_degree)
-                  : own);
-          if (!sized.ok()) return sized.status();
-          const int degree = sized->degree;
-          if (joint_sizing || options.cache != nullptr) {
-            auto op = par_at_degree(own, degree);
-            if (!op.ok()) return op.status();
-            round_ops.push_back(std::move(op).value());
-          } else {
-            round_ops.push_back(std::move(sized).value());
-          }
-        }
-      }
+      auto parallelized = planner.ParallelizeWave(op_ids, result.rounds);
+      if (!parallelized.ok()) return parallelized.status();
+      std::vector<ParallelizedOp> round_ops = std::move(parallelized).value();
 
       if (pipeline) {
         // Rate matching (arxiv 1403.7729's pipelined extension): a task is
@@ -249,14 +143,12 @@ Result<ListScheduleResult> GreedyListSchedule(
         }
         for (ParallelizedOp& op : round_ops) {
           if (op.rooted || op.degree <= 1) continue;
-          if (dependent_of.find(op.op_id) != dependent_of.end()) continue;
-          const OperatorCost& own = costs[static_cast<size_t>(op.op_id)];
-          const int matched =
-              RateMatchedDegree(own, params, usage,
-                                bottleneck.at(op_task.at(op.op_id)),
-                                op.degree);
+          if (planner.HasBlockingDependent(op.op_id)) continue;
+          const int matched = RateMatchedDegree(
+              costs[static_cast<size_t>(op.op_id)], params, usage,
+              bottleneck.at(op_task.at(op.op_id)), op.degree);
           if (matched == op.degree) continue;
-          auto lowered = par_at_degree(own, matched);
+          auto lowered = planner.AtDegree(op.op_id, matched);
           if (!lowered.ok()) return lowered.status();
           op = std::move(lowered).value();
         }
@@ -321,7 +213,7 @@ Result<ListScheduleResult> GreedyListSchedule(
       std::vector<char> touched(static_cast<size_t>(config.num_sites), 0);
       int64_t round_clones = 0;
       for (std::vector<ParallelizedOp>& stage_ops : stages) {
-        OperatorScheduleOptions round_options = options.list_options;
+        OperatorScheduleOptions round_options = list_options;
         round_options.base_load = &residual;
         auto round_schedule = OperatorSchedule(stage_ops, config.num_sites,
                                                config.dims, round_options);
@@ -342,9 +234,7 @@ Result<ListScheduleResult> GreedyListSchedule(
           residual[static_cast<size_t>(c.site)] += c.work;
           ++outstanding_clones[static_cast<size_t>(tid)];
         }
-        for (const ParallelizedOp& op : stage_ops) {
-          home_of[op.op_id] = round_schedule->HomeOf(op.op_id);
-        }
+        planner.RecordHomes(stage_ops, *round_schedule);
         round_clones +=
             static_cast<int64_t>(round_schedule->placements().size());
         result.ops.insert(result.ops.end(),
@@ -437,14 +327,8 @@ Status ApplyTreeGuard(const OperatorTree& op_tree, const TaskTree& task_tree,
                       const std::vector<OperatorCost>& costs,
                       const CostParams& params, const MachineConfig& config,
                       const OverlapUsageModel& usage,
-                      const ListScheduleOptions& options,
+                      const TreeScheduleOptions& tree_options,
                       ListScheduleResult* result) {
-  TreeScheduleOptions tree_options;
-  tree_options.granularity = options.granularity;
-  tree_options.policy = options.policy;
-  tree_options.build_degree = options.build_degree;
-  tree_options.list_options = options.list_options;
-  tree_options.cache = options.cache;
   auto tree = TreeSchedule(op_tree, task_tree, costs, params, config, usage,
                            tree_options);
   if (!tree.ok()) return tree.status();
@@ -479,24 +363,16 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
                                         const MachineConfig& machine,
                                         const OverlapUsageModel& usage,
                                         const ListScheduleOptions& options) {
-  if (static_cast<int>(costs.size()) != op_tree.num_ops()) {
-    return Status::InvalidArgument(
-        StrFormat("costs size %zu != %d operators", costs.size(),
-                  op_tree.num_ops()));
-  }
-  MRS_RETURN_IF_ERROR(params.Validate());
-  MachineConfig config = machine;
-  MRS_RETURN_IF_ERROR(config.Validate());
-  if (options.cache != nullptr &&
-      !options.cache->CompatibleWith(params, usage.epsilon(),
-                                     options.granularity, config.num_sites)) {
-    return Status::InvalidArgument(
-        "parallelize cache was built for a different scheduling context");
-  }
+  // The planner validates the inputs (cost vector size, cost params,
+  // machine config, cache compatibility) exactly like TreeSchedule.
+  auto planner = PhasePlanner::Create(op_tree, task_tree, costs, params,
+                                      machine, usage, options.tree);
+  if (!planner.ok()) return planner.status();
+  const MachineConfig& config = planner->machine();
   if (task_tree.num_tasks() == 0) {
     return Status::InvalidArgument("task tree has no tasks to schedule");
   }
-  const std::vector<WorkVector>* external = options.list_options.base_load;
+  const std::vector<WorkVector>* external = options.tree.list_options.base_load;
   if (external != nullptr) {
     if (static_cast<int>(external->size()) != config.num_sites) {
       return Status::InvalidArgument(
@@ -511,50 +387,43 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
       }
     }
   }
+  // The guards' shadow runs are untraced.
+  TreeScheduleOptions untraced = options.tree;
+  untraced.trace = nullptr;
+  auto tree_guard = [&](ListScheduleResult* r) {
+    return options.tree_guard ? ApplyTreeGuard(op_tree, task_tree, costs,
+                                               params, config, usage,
+                                               untraced, r)
+                              : Status::OK();
+  };
 
-  TraceSink* const trace = options.trace;
-  SpanTimer call_span(trace, "list_schedule");
-
-  ListScheduleResult result;
-  if (!options.pipeline) {
-    auto plain = GreedyListSchedule(op_tree, task_tree, costs, params, config,
-                                    usage, options, /*pipeline=*/false, trace);
+  SpanTimer call_span(options.tree.trace, "list_schedule");
+  auto greedy = GreedyListSchedule(*planner, op_tree, task_tree, costs, params,
+                                   usage, options.pipeline);
+  if (!greedy.ok()) return greedy.status();
+  ListScheduleResult result = std::move(greedy).value();
+  result.pipelined = options.pipeline;
+  if (options.pipeline && options.pipeline_guard) {
+    // Shadow task-wave baseline (itself tree-guarded when tree_guard is
+    // on): the LIST side of PIPELINED <= LIST <= TREE.
+    auto shadow = PhasePlanner::Create(op_tree, task_tree, costs, params,
+                                       machine, usage, untraced);
+    if (!shadow.ok()) return shadow.status();
+    auto plain = GreedyListSchedule(*shadow, op_tree, task_tree, costs, params,
+                                    usage, /*pipeline=*/false);
     if (!plain.ok()) return plain.status();
-    result = std::move(plain).value();
-    if (options.tree_guard) {
-      MRS_RETURN_IF_ERROR(ApplyTreeGuard(op_tree, task_tree, costs, params,
-                                         config, usage, options, &result));
+    ListScheduleResult baseline = std::move(plain).value();
+    MRS_RETURN_IF_ERROR(tree_guard(&baseline));
+    result.tree_response_time = baseline.tree_response_time;
+    result.list_makespan = baseline.makespan;
+    if (result.makespan > baseline.makespan) {
+      baseline.tree_response_time = result.tree_response_time;
+      baseline.list_makespan = result.list_makespan;
+      baseline.used_list_fallback = true;
+      result = std::move(baseline);
     }
   } else {
-    auto piped = GreedyListSchedule(op_tree, task_tree, costs, params, config,
-                                    usage, options, /*pipeline=*/true, trace);
-    if (!piped.ok()) return piped.status();
-    result = std::move(piped).value();
-    result.pipelined = true;
-    if (options.pipeline_guard) {
-      // Shadow task-wave baseline (untraced, itself tree-guarded when
-      // tree_guard is on): the LIST side of PIPELINED <= LIST <= TREE.
-      auto plain = GreedyListSchedule(op_tree, task_tree, costs, params,
-                                      config, usage, options,
-                                      /*pipeline=*/false, /*trace=*/nullptr);
-      if (!plain.ok()) return plain.status();
-      ListScheduleResult baseline = std::move(plain).value();
-      if (options.tree_guard) {
-        MRS_RETURN_IF_ERROR(ApplyTreeGuard(op_tree, task_tree, costs, params,
-                                           config, usage, options, &baseline));
-      }
-      result.tree_response_time = baseline.tree_response_time;
-      result.list_makespan = baseline.makespan;
-      if (result.makespan > baseline.makespan) {
-        baseline.tree_response_time = result.tree_response_time;
-        baseline.list_makespan = result.list_makespan;
-        baseline.used_list_fallback = true;
-        result = std::move(baseline);
-      }
-    } else if (options.tree_guard) {
-      MRS_RETURN_IF_ERROR(ApplyTreeGuard(op_tree, task_tree, costs, params,
-                                         config, usage, options, &result));
-    }
+    MRS_RETURN_IF_ERROR(tree_guard(&result));
   }
 
   if (call_span.active()) {

@@ -139,38 +139,16 @@ Result<MemoryAwareResult> MemoryAwareTreeSchedule(
     const std::vector<OperatorCost>& costs, const CostParams& params,
     const MachineConfig& machine, const OverlapUsageModel& usage,
     const TreeScheduleOptions& options, const MemoryOptions& memory) {
-  if (static_cast<int>(costs.size()) != op_tree.num_ops()) {
-    return Status::InvalidArgument(
-        StrFormat("costs size %zu != %d operators", costs.size(),
-                  op_tree.num_ops()));
-  }
   if (memory.site_memory_bytes <= 0 || memory.hash_table_overhead < 1.0) {
     return Status::InvalidArgument("invalid memory options");
   }
-  MRS_RETURN_IF_ERROR(params.Validate());
-  MachineConfig config = machine;
-  MRS_RETURN_IF_ERROR(config.Validate());
+  // Validates the inputs and supplies the join-aware sizing cost; the
+  // memory-constrained degrees and packing below are this variant's own.
+  auto planner = PhasePlanner::Create(op_tree, task_tree, costs, params,
+                                      machine, usage, options);
+  if (!planner.ok()) return planner.status();
+  const MachineConfig& config = planner->machine();
 
-  std::unordered_map<int, int> dependent_of;
-  for (const auto& op : op_tree.ops()) {
-    if (op.blocking_input >= 0) {
-      dependent_of[op.blocking_input] = op.id;
-    }
-  }
-  auto sizing_cost = [&](int oid) {
-    const OperatorCost& own = costs[static_cast<size_t>(oid)];
-    if (options.build_degree == BuildDegreePolicy::kJoinAware) {
-      auto it = dependent_of.find(oid);
-      if (it != dependent_of.end()) {
-        OperatorCost joint = own;
-        const OperatorCost& dep = costs[static_cast<size_t>(it->second)];
-        joint.processing += dep.processing;
-        joint.data_bytes += dep.data_bytes;
-        return joint;
-      }
-    }
-    return own;
-  };
   // Memory-resident state materialized by an operator (hash/group tables;
   // 0 for disk-resident sorted runs and stateless operators).
   auto table_bytes = [&](int op_id) {
@@ -241,7 +219,7 @@ Result<MemoryAwareResult> MemoryAwareTreeSchedule(
               mem_demand.push_back(0.0);
             } else {
               auto sized =
-                  ParallelizeFloating(sizing_cost(oid), params, usage,
+                  ParallelizeFloating(planner->SizingCost(oid), params, usage,
                                       options.granularity, config.num_sites);
               if (!sized.ok()) return sized.status();
               int degree = sized->degree;

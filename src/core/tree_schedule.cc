@@ -118,70 +118,46 @@ OperatorCost PhasePlanner::SizingCost(int oid) const {
   return own;
 }
 
-Result<PhaseSchedule> PhasePlanner::NextPhase(
-    const std::vector<WorkVector>* base_load) {
-  if (done()) {
-    return Status::FailedPrecondition(
-        StrFormat("all %d phases already scheduled", num_phases()));
-  }
-  const int k = next_;
-  TraceSink* const trace = options_.trace;
+bool PhasePlanner::HasBlockingDependent(int oid) const {
+  return dependent_of_.find(oid) != dependent_of_.end();
+}
 
-  // Parallelization entry points, memoized when a cache is supplied.
-  auto par_rooted = [&](const OperatorCost& cost, std::vector<int> home) {
-    return options_.cache != nullptr
-               ? options_.cache->Rooted(cost, std::move(home))
-               : ParallelizeRooted(cost, params_, usage_, std::move(home),
+Result<ParallelizedOp> PhasePlanner::AtDegree(int oid, int degree) const {
+  const OperatorCost& own = (*costs_)[static_cast<size_t>(oid)];
+  return options_.cache != nullptr
+             ? options_.cache->AtDegree(own, degree)
+             : ParallelizeAtDegree(own, params_, usage_, degree,
                                    config_.num_sites);
-  };
-  auto par_floating = [&](const OperatorCost& cost) {
-    return options_.cache != nullptr
-               ? options_.cache->Floating(cost)
-               : ParallelizeFloating(cost, params_, usage_,
-                                     options_.granularity, config_.num_sites);
-  };
-  auto par_at_degree = [&](const OperatorCost& cost, int degree) {
-    return options_.cache != nullptr
-               ? options_.cache->AtDegree(cost, degree)
-               : ParallelizeAtDegree(cost, params_, usage_, degree,
-                                     config_.num_sites);
-  };
+}
 
-  SpanTimer par_span(trace, "parallelize", k);
-  uint64_t phase_hits0 = 0;
-  uint64_t phase_misses0 = 0;
-  if (par_span.active() && options_.cache != nullptr) {
-    phase_hits0 = options_.cache->counter().hits();
-    phase_misses0 = options_.cache->counter().misses();
-  }
-  std::vector<int> op_ids = task_tree_->PhaseOps(k);
+Result<std::vector<ParallelizedOp>> PhasePlanner::ParallelizeWave(
+    const std::vector<int>& op_ids, int span_index) const {
   std::vector<ParallelizedOp> ops;
   std::vector<int> floating_ids;
   ops.reserve(op_ids.size());
   for (int oid : op_ids) {
-    const PhysicalOp& op = op_tree_->op(oid);
-    const OperatorCost& cost = (*costs_)[static_cast<size_t>(oid)];
-    if (op.blocking_input >= 0) {
-      // Constraint B: the op executes where its blocking producer
-      // materialized its state (hash table / sorted runs / group
-      // table); that producer always ran in an earlier phase.
-      auto home_it = home_of_.find(op.blocking_input);
-      if (home_it == home_of_.end() || home_it->second.empty()) {
-        return Status::Internal(
-            StrFormat("blocking producer op%d of op%d not scheduled in "
-                      "an earlier phase",
-                      op.blocking_input, oid));
-      }
-      auto rooted = par_rooted(cost, home_it->second);
-      if (!rooted.ok()) return rooted.status();
-      ops.push_back(std::move(rooted).value());
-      if (par_span.active()) {
-        par_span.Attr(StrFormat("op%d.degree", oid),
-                      StrFormat("%d:rooted", ops.back().degree));
-      }
-    } else {
+    const int producer = op_tree_->op(oid).blocking_input;
+    if (producer < 0) {
       floating_ids.push_back(oid);
+      continue;
     }
+    // Constraint B: the op executes where its blocking producer
+    // materialized its state (hash table / sorted runs / group table);
+    // that producer always ran in an earlier wave.
+    auto home_it = home_of_.find(producer);
+    if (home_it == home_of_.end() || home_it->second.empty()) {
+      return Status::Internal(
+          StrFormat("blocking producer op%d of op%d not scheduled in an "
+                    "earlier wave",
+                    producer, oid));
+    }
+    const OperatorCost& cost = (*costs_)[static_cast<size_t>(oid)];
+    auto rooted = options_.cache != nullptr
+                      ? options_.cache->Rooted(cost, home_it->second)
+                      : ParallelizeRooted(cost, params_, usage_,
+                                          home_it->second, config_.num_sites);
+    if (!rooted.ok()) return rooted.status();
+    ops.push_back(std::move(rooted).value());
   }
 
   // Fix the parallelization of the floating operators. The *degree* is
@@ -191,7 +167,7 @@ Result<PhaseSchedule> PhasePlanner::NextPhase(
     std::vector<OperatorCost> sizing;
     sizing.reserve(floating_ids.size());
     for (int oid : floating_ids) sizing.push_back(SizingCost(oid));
-    SpanTimer malleable_span(trace, "malleable_select", k);
+    SpanTimer malleable_span(options_.trace, "malleable_select", span_index);
     auto selection = SelectMalleableParallelization(sizing, ops, params_,
                                                     usage_, config_.num_sites);
     if (!selection.ok()) return selection.status();
@@ -202,55 +178,92 @@ Result<PhaseSchedule> PhasePlanner::NextPhase(
     }
     malleable_span.End();
     for (size_t i = 0; i < floating_ids.size(); ++i) {
-      auto op = par_at_degree((*costs_)[static_cast<size_t>(floating_ids[i])],
-                              selection->degrees[i]);
+      auto op = AtDegree(floating_ids[i], selection->degrees[i]);
       if (!op.ok()) return op.status();
       ops.push_back(std::move(op).value());
-      if (par_span.active()) {
-        par_span.Attr(StrFormat("op%d.degree", floating_ids[i]),
-                      StrFormat("%d:malleable", selection->degrees[i]));
-      }
     }
-  } else {
-    for (int oid : floating_ids) {
-      const OperatorCost& own = (*costs_)[static_cast<size_t>(oid)];
-      // Joint sizing only changes the cost for builds under kJoinAware;
-      // for every other floating op SizingCost returns `own` unchanged.
-      const bool joint_sizing =
-          options_.build_degree == BuildDegreePolicy::kJoinAware &&
-          dependent_of_.find(oid) != dependent_of_.end();
-      auto sized = par_floating(joint_sizing ? SizingCost(oid) : own);
-      if (!sized.ok()) return sized.status();
-      const int degree = sized->degree;
-      if (joint_sizing || options_.cache != nullptr) {
-        auto op = par_at_degree(own, degree);
-        if (!op.ok()) return op.status();
-        ops.push_back(std::move(op).value());
-      } else {
-        // Sizing cost == own cost and no cache: ParallelizeFloating
-        // already returned MakeParallelized(own, degree) — reusing it is
-        // bit-identical to re-splitting via ParallelizeAtDegree. (With a
-        // cache we still call AtDegree so memoization sees both keys.)
-        ops.push_back(std::move(sized).value());
-      }
-      if (par_span.active()) {
-        // Chosen degree vs. the Prop. 4.1 cap the CG_f rule derived it
-        // from (on the sizing cost: join-aware for builds).
-        const OperatorCost sc = SizingCost(oid);
-        const int n_max = MaxCoarseGrainDegree(
-            sc.ProcessingArea(), sc.data_bytes, params_, options_.granularity);
-        par_span.Attr(StrFormat("op%d.degree", oid),
-                      StrFormat("%d/nmax=%d", degree, n_max));
-      }
+    return ops;
+  }
+  for (int oid : floating_ids) {
+    // Joint sizing only changes the cost for builds under kJoinAware; for
+    // every other floating op SizingCost returns the op's own cost.
+    const bool joint_sizing =
+        options_.build_degree == BuildDegreePolicy::kJoinAware &&
+        HasBlockingDependent(oid);
+    const OperatorCost sizing =
+        joint_sizing ? SizingCost(oid) : (*costs_)[static_cast<size_t>(oid)];
+    auto sized = options_.cache != nullptr
+                     ? options_.cache->Floating(sizing)
+                     : ParallelizeFloating(sizing, params_, usage_,
+                                           options_.granularity,
+                                           config_.num_sites);
+    if (!sized.ok()) return sized.status();
+    if (joint_sizing || options_.cache != nullptr) {
+      auto op = AtDegree(oid, sized->degree);
+      if (!op.ok()) return op.status();
+      ops.push_back(std::move(op).value());
+    } else {
+      // Sizing cost == own cost and no cache: ParallelizeFloating already
+      // returned MakeParallelized(own, degree) — reusing it is
+      // bit-identical to re-splitting via ParallelizeAtDegree. (With a
+      // cache we still call AtDegree so memoization sees both keys.)
+      ops.push_back(std::move(sized).value());
     }
   }
+  return ops;
+}
+
+void PhasePlanner::RecordHomes(const std::vector<ParallelizedOp>& ops,
+                               const Schedule& schedule) {
+  for (const ParallelizedOp& op : ops) {
+    home_of_[op.op_id] = schedule.HomeOf(op.op_id);
+  }
+}
+
+Result<PhaseSchedule> PhasePlanner::NextPhase(
+    const std::vector<WorkVector>* base_load) {
+  if (done()) {
+    return Status::FailedPrecondition(
+        StrFormat("all %d phases already scheduled", num_phases()));
+  }
+  const int k = next_;
+  TraceSink* const trace = options_.trace;
+
+  SpanTimer par_span(trace, "parallelize", k);
+  uint64_t phase_hits0 = 0;
+  uint64_t phase_misses0 = 0;
   if (par_span.active() && options_.cache != nullptr) {
-    par_span.AttrInt(
-        "cache.hits",
-        static_cast<int64_t>(options_.cache->counter().hits() - phase_hits0));
-    par_span.AttrInt("cache.misses",
-                     static_cast<int64_t>(options_.cache->counter().misses() -
-                                          phase_misses0));
+    phase_hits0 = options_.cache->counter().hits();
+    phase_misses0 = options_.cache->counter().misses();
+  }
+  auto ops = ParallelizeWave(task_tree_->PhaseOps(k), k);
+  if (!ops.ok()) return ops.status();
+  if (par_span.active()) {
+    for (const ParallelizedOp& op : *ops) {
+      std::string degree;
+      if (op.rooted) {
+        degree = StrFormat("%d:rooted", op.degree);
+      } else if (options_.policy == ParallelizationPolicy::kMalleable) {
+        degree = StrFormat("%d:malleable", op.degree);
+      } else {
+        // Chosen degree vs. the Prop. 4.1 cap the CG_f rule derived it
+        // from (on the sizing cost: join-aware for builds).
+        const OperatorCost sc = SizingCost(op.op_id);
+        const int n_max = MaxCoarseGrainDegree(
+            sc.ProcessingArea(), sc.data_bytes, params_, options_.granularity);
+        degree = StrFormat("%d/nmax=%d", op.degree, n_max);
+      }
+      par_span.Attr(StrFormat("op%d.degree", op.op_id), std::move(degree));
+    }
+    if (options_.cache != nullptr) {
+      par_span.AttrInt("cache.hits",
+                       static_cast<int64_t>(options_.cache->counter().hits() -
+                                            phase_hits0));
+      par_span.AttrInt(
+          "cache.misses",
+          static_cast<int64_t>(options_.cache->counter().misses() -
+                               phase_misses0));
+    }
   }
   par_span.End();
 
@@ -258,7 +271,7 @@ Result<PhaseSchedule> PhasePlanner::NextPhase(
   OperatorScheduleOptions list_options = options_.list_options;
   // A per-call base load (the online scheduler's phase-instant residual)
   // overrides a static one carried in the options (the list engine's
-  // tree_guard threading ListScheduleOptions::base_load through).
+  // tree_guard forwarding ListScheduleOptions::tree.list_options.base_load).
   if (base_load != nullptr) list_options.base_load = base_load;
   if (sched_span.active()) {
     // Which site-selection engine ran (see OperatorScheduleOptions::
@@ -270,20 +283,18 @@ Result<PhaseSchedule> PhasePlanner::NextPhase(
                         ? "indexed"
                         : "linear");
   }
-  auto schedule = OperatorSchedule(ops, config_.num_sites, config_.dims,
+  auto schedule = OperatorSchedule(*ops, config_.num_sites, config_.dims,
                                    list_options);
   if (!schedule.ok()) return schedule.status();
-  PhaseSchedule phase{k, std::move(ops), std::move(schedule).value(), 0.0};
+  PhaseSchedule phase{k, std::move(ops).value(), std::move(schedule).value(),
+                      0.0};
   phase.makespan = phase.schedule.Makespan();
   if (sched_span.active()) {
     AnnotateOperatorScheduleSpan(&sched_span, phase, config_);
   }
   sched_span.End();
 
-  // Record homes for constraint B lookups in later phases.
-  for (const auto& op : phase.ops) {
-    home_of_[op.op_id] = phase.schedule.HomeOf(op.op_id);
-  }
+  RecordHomes(phase.ops, phase.schedule);
   ++next_;
   return phase;
 }

@@ -101,8 +101,10 @@ struct TreeScheduleResult {
 ///
 /// Data placement constraints propagate across the planner's own phases
 /// exactly as in TreeSchedule (a probe is rooted at the home of its
-/// build). All referenced inputs must outlive the planner; the planner is
-/// movable but not copyable.
+/// build). LISTSCHEDULE drives the same planner one readiness wave at a
+/// time (ParallelizeWave, its own placement, RecordHomes), so both engines
+/// parallelize by one rule. All referenced inputs must outlive the
+/// planner; the planner is movable but not copyable.
 class PhasePlanner {
  public:
   /// Validates the inputs (cost vector size, cost params, machine config,
@@ -125,15 +127,45 @@ class PhasePlanner {
   int next_phase() const { return next_; }
   bool done() const { return next_ >= num_phases(); }
 
-  /// Parallelizes and list-schedules the next phase. `base_load`, when
-  /// non-null, is forwarded to OperatorSchedule as the residual site load
-  /// of co-resident queries (see OperatorScheduleOptions::base_load); the
-  /// returned PhaseSchedule::makespan is the *uncontended* eq. (3) value
-  /// of the phase's own clones. Fails with FailedPrecondition once done().
+  /// Parallelizes and list-schedules the next phase: ParallelizeWave over
+  /// the phase's operators, OPERATORSCHEDULE, then RecordHomes.
+  /// `base_load`, when non-null, is forwarded to OperatorSchedule as the
+  /// residual site load of co-resident queries (see
+  /// OperatorScheduleOptions::base_load); the returned
+  /// PhaseSchedule::makespan is the *uncontended* eq. (3) value of the
+  /// phase's own clones. Fails with FailedPrecondition once done().
   Result<PhaseSchedule> NextPhase(
       const std::vector<WorkVector>* base_load = nullptr);
 
+  /// The one phase-parallelization rule of both engines: TREESCHEDULE
+  /// applies it to a phase, LISTSCHEDULE to a readiness wave. A blocked
+  /// operator is rooted at its producer's recorded home (constraint B); a
+  /// floating one gets its CG_f degree on SizingCost, or the §7 malleable
+  /// degree (one `malleable_select` span labeled `span_index`). Returns
+  /// the rooted operators, then the floating ones, each in `op_ids` order.
+  Result<std::vector<ParallelizedOp>> ParallelizeWave(
+      const std::vector<int>& op_ids, int span_index) const;
+
+  /// Records where the operators of a placed wave landed, so that their
+  /// blocking dependents are rooted there by a later ParallelizeWave.
+  void RecordHomes(const std::vector<ParallelizedOp>& ops,
+                   const Schedule& schedule);
+
+  /// The operator's own cost split over `degree` clones (memoized when a
+  /// cache is configured).
+  Result<ParallelizedOp> AtDegree(int oid, int degree) const;
+
+  /// True when a later operator consumes state `oid` materializes (probe
+  /// of a build, merge of a sort run, emit of an aggregate).
+  bool HasBlockingDependent(int oid) const;
+
+  /// The cost an operator's degree of parallelism is derived from: its
+  /// own cost plus, under BuildDegreePolicy::kJoinAware, its blocking
+  /// dependent's.
+  OperatorCost SizingCost(int oid) const;
+
   const MachineConfig& machine() const { return config_; }
+  const TreeScheduleOptions& options() const { return options_; }
 
  private:
   PhasePlanner(const OperatorTree& op_tree, const TaskTree& task_tree,
@@ -141,10 +173,6 @@ class PhasePlanner {
                const CostParams& params, MachineConfig config,
                const OverlapUsageModel& usage,
                const TreeScheduleOptions& options);
-
-  /// The cost an operator's degree of parallelism is derived from (see
-  /// BuildDegreePolicy::kJoinAware).
-  OperatorCost SizingCost(int oid) const;
 
   const OperatorTree* op_tree_;
   const TaskTree* task_tree_;
@@ -156,7 +184,7 @@ class PhasePlanner {
   /// The blocking dependent of each state-materializing operator (probe
   /// of a build, merge of a sort run, emit of an aggregate).
   std::unordered_map<int, int> dependent_of_;
-  /// Homes of operators scheduled in earlier phases (constraint B).
+  /// Homes of operators placed in earlier waves (constraint B).
   std::unordered_map<int, std::vector<int>> home_of_;
   int next_ = 0;
 };

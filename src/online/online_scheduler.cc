@@ -34,22 +34,6 @@ bool MaterializesState(OperatorKind kind) {
          kind == OperatorKind::kSortRun;
 }
 
-/// The list-engine options are derived from the shared TREESCHEDULE knobs
-/// (see OnlineSchedulerOptions::engine).
-ListScheduleOptions ListOptionsFrom(const OnlineSchedulerOptions& options,
-                                    ParallelizeCache* cache, TraceSink* trace,
-                                    const std::vector<WorkVector>* base_load) {
-  ListScheduleOptions out;
-  out.granularity = options.tree.granularity;
-  out.policy = options.tree.policy;
-  out.build_degree = options.tree.build_degree;
-  out.list_options = options.tree.list_options;
-  out.cache = cache;
-  out.trace = trace;
-  out.list_options.base_load = base_load;
-  return out;
-}
-
 }  // namespace
 
 std::string_view OnlineQueryStateToString(OnlineQueryState state) {
@@ -183,20 +167,21 @@ uint64_t OnlineScheduler::Submit(const PlanTree& plan, double arrival_ms,
   // TreeSchedule over the shared memo cache) and the materialized-state
   // footprint.
   SpanTimer est_span(trace, "admission_estimate");
-  ParallelizeCache* cache = options_.use_cost_cache ? &cache_ : nullptr;
+  TreeScheduleOptions est_options = options_.tree;
+  est_options.cache = options_.use_cost_cache ? &cache_ : nullptr;
+  est_options.trace = nullptr;
   if (options_.engine == OnlineEngine::kList) {
-    auto estimate =
-        ListSchedule(*rec->ops, *rec->task_tree, rec->costs, params_, machine_,
-                     usage_, ListOptionsFrom(options_, cache, nullptr, nullptr));
+    ListScheduleOptions list_options;
+    list_options.tree = est_options;
+    list_options.tree.list_options.base_load = nullptr;
+    auto estimate = ListSchedule(*rec->ops, *rec->task_tree, rec->costs,
+                                 params_, machine_, usage_, list_options);
     if (!estimate.ok()) {
       FinalizeRejected(rec, estimate.status(), OnlineQueryState::kRejected);
       return id;
     }
     rec->result.expected_makespan_ms = estimate->makespan;
   } else {
-    TreeScheduleOptions est_options = options_.tree;
-    est_options.cache = cache;
-    est_options.trace = nullptr;
     auto estimate = TreeSchedule(*rec->ops, *rec->task_tree, rec->costs,
                                  params_, machine_, usage_, est_options);
     if (!estimate.ok()) {
@@ -384,10 +369,13 @@ void OnlineScheduler::PlaceListSchedule(QueryRec* rec) {
     base_ptr = &base;
   }
 
-  ParallelizeCache* cache = options_.use_cost_cache ? &cache_ : nullptr;
-  auto list = ListSchedule(
-      *rec->ops, *rec->task_tree, rec->costs, params_, machine_, usage_,
-      ListOptionsFrom(options_, cache, rec->result.trace.get(), base_ptr));
+  ListScheduleOptions list_options;
+  list_options.tree = options_.tree;
+  list_options.tree.cache = options_.use_cost_cache ? &cache_ : nullptr;
+  list_options.tree.trace = rec->result.trace.get();
+  list_options.tree.list_options.base_load = base_ptr;
+  auto list = ListSchedule(*rec->ops, *rec->task_tree, rec->costs, params_,
+                           machine_, usage_, list_options);
   if (!list.ok()) {
     AbortQuery(rec, list.status());
     return;

@@ -28,7 +28,7 @@ enum class OnlineEngine {
   kTree,
   /// Barrier-free LISTSCHEDULE: the whole query is scheduled one-shot at
   /// admission with the residual-load snapshot threaded through
-  /// ListScheduleOptions::list_options.base_load, so the
+  /// ListScheduleOptions::tree.list_options.base_load, so the
   /// least-loaded rule steers every placement round away from busy sites.
   /// Clone start/finish times become staggered reservations on the
   /// virtual clock and the query completes at its list makespan. The
@@ -52,8 +52,8 @@ struct OnlineSchedulerOptions {
   /// byte-identical placements.
   TreeScheduleOptions tree;
   /// Engine each admitted query is scheduled with. Both engines share the
-  /// `tree` knobs (granularity, policy, build_degree, list_options); the
-  /// admission-time makespan estimate uses the selected engine too, so the
+  /// `tree` knobs (the list engine takes them as ListScheduleOptions::tree);
+  /// the admission-time makespan estimate uses the selected engine too, so the
   /// documented "equals the contended response time when the query runs
   /// alone" property holds for either.
   OnlineEngine engine = OnlineEngine::kTree;
