@@ -160,58 +160,84 @@ TEST(OperatorScheduleTest, AlternativeOrdersStillValid) {
 }
 
 /// Tie-break contract for kLeastLoaded: among equal-load allowable sites
-/// the lowest-numbered site wins, identically on the reference linear
-/// scan and the indexed placement engine.
+/// the lowest-numbered site wins.
 TEST(OperatorScheduleTest, TieBreaksToLowestIndexOnBothEngines) {
   OverlapUsageModel usage(0.5);
-  for (bool use_index : {false, true}) {
-    OperatorScheduleOptions options;
-    options.placement_index = use_index;
 
-    // All four sites empty and equal: a degree-2 op takes sites 0 then 1
-    // (constraint A excludes 0 for the second clone).
-    auto even = MakeOp(0, {{2.0, 2.0}, {2.0, 2.0}}, usage);
-    auto s = OperatorSchedule({even}, 4, 2, options);
-    ASSERT_TRUE(s.ok());
-    EXPECT_EQ(s->HomeOf(0), (std::vector<int>{0, 1})) << "index=" << use_index;
+  // All four sites empty and equal: a degree-2 op takes sites 0 then 1
+  // (constraint A excludes 0 for the second clone).
+  auto even = MakeOp(0, {{2.0, 2.0}, {2.0, 2.0}}, usage);
+  auto s = OperatorSchedule({even}, 4, 2);
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ(s->HomeOf(0), (std::vector<int>{0, 1}));
 
-    // Rooted preload leaves sites 0 and 2 tied at zero: the floating op
-    // lands on 0, not 2.
-    auto rooted = MakeOp(0, {{5.0, 5.0}, {5.0, 5.0}}, usage, /*home=*/{1, 3});
-    auto floating = MakeUnitOp(1, {1.0, 1.0}, usage);
-    s = OperatorSchedule({rooted, floating}, 4, 2, options);
-    ASSERT_TRUE(s.ok());
-    EXPECT_EQ(s->HomeOf(1), (std::vector<int>{0})) << "index=" << use_index;
-  }
+  // Rooted preload leaves sites 0 and 2 tied at zero: the floating op
+  // lands on 0, not 2.
+  auto rooted = MakeOp(0, {{5.0, 5.0}, {5.0, 5.0}}, usage, /*home=*/{1, 3});
+  auto floating = MakeUnitOp(1, {1.0, 1.0}, usage);
+  s = OperatorSchedule({rooted, floating}, 4, 2);
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ(s->HomeOf(1), (std::vector<int>{0}));
 }
 
 /// Same contract on the base_load branch (the online scheduler's residual
-/// path): ties in l(base[s] + work(s)) resolve to the lowest site index on
-/// both engines.
+/// path): ties in l(base[s] + work(s)) resolve to the lowest site index.
 TEST(OperatorScheduleTest, TieBreaksToLowestIndexWithBaseLoad) {
   OverlapUsageModel usage(0.5);
   const std::vector<WorkVector> base = {
       {3.0, 3.0}, {0.0, 0.0}, {3.0, 3.0}, {0.0, 0.0}};
-  for (bool use_index : {false, true}) {
-    OperatorScheduleOptions options;
-    options.placement_index = use_index;
-    options.base_load = &base;
+  OperatorScheduleOptions options;
+  options.base_load = &base;
 
-    // Sites 1 and 3 are tied least-loaded: a degree-2 op takes 1 then 3.
-    auto op = MakeOp(0, {{1.0, 1.0}, {1.0, 1.0}}, usage);
-    auto s = OperatorSchedule({op}, 4, 2, options);
-    ASSERT_TRUE(s.ok());
-    EXPECT_EQ(s->HomeOf(0), (std::vector<int>{1, 3})) << "index=" << use_index;
+  // Sites 1 and 3 are tied least-loaded: a degree-2 op takes 1 then 3.
+  auto op = MakeOp(0, {{1.0, 1.0}, {1.0, 1.0}}, usage);
+  auto s = OperatorSchedule({op}, 4, 2, options);
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ(s->HomeOf(0), (std::vector<int>{1, 3}));
 
-    // After op 0 lands, sites 1 and 3 are tied again at l = 1 (below the
-    // base-3 sites): the follow-up unit op, free of constraint A against
-    // op 0, must resolve the fresh tie to the lower index 1.
-    auto follow = MakeUnitOp(1, {1.0, 1.0}, usage);
-    s = OperatorSchedule({op, follow}, 4, 2, options);
-    ASSERT_TRUE(s.ok());
-    EXPECT_EQ(s->HomeOf(0), (std::vector<int>{1, 3})) << "index=" << use_index;
-    EXPECT_EQ(s->HomeOf(1), (std::vector<int>{1})) << "index=" << use_index;
-  }
+  // After op 0 lands, sites 1 and 3 are tied again at l = 1 (below the
+  // base-3 sites): the follow-up unit op, free of constraint A against
+  // op 0, must resolve the fresh tie to the lower index 1.
+  auto follow = MakeUnitOp(1, {1.0, 1.0}, usage);
+  s = OperatorSchedule({op, follow}, 4, 2, options);
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ(s->HomeOf(0), (std::vector<int>{1, 3}));
+  EXPECT_EQ(s->HomeOf(1), (std::vector<int>{1}));
+}
+
+/// kFirstAllowable, computed by hand: every floating clone, in list order,
+/// takes the lowest site its own operator does not occupy yet. Load (the
+/// rooted op's included) plays no part, and rooted clones never exclude
+/// another operator's clones.
+TEST(OperatorScheduleTest, FirstAllowablePlacesOnLowestFreeSite) {
+  OverlapUsageModel usage(0.5);
+  const std::vector<ParallelizedOp> ops = {
+      MakeOp(0, {{9.0, 9.0}, {9.0, 9.0}}, usage, /*home=*/{2, 0}),
+      MakeOp(1, {{1.0, 1.0}, {3.0, 3.0}, {2.0, 2.0}}, usage),
+      MakeOp(2, {{4.0, 4.0}, {0.5, 0.5}}, usage),
+      MakeUnitOp(3, {2.5, 2.5}, usage),
+  };
+  OperatorScheduleOptions options;
+  options.site_choice = SiteChoice::kFirstAllowable;
+
+  // Non-increasing l(w): op2.c0 -> 0, op1.c1 -> 0, op3.c0 -> 0,
+  // op1.c2 -> 1, op1.c0 -> 2, op2.c1 -> 1.
+  auto s = OperatorSchedule(ops, 5, 2, options);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  EXPECT_TRUE(s->Validate(ops).ok());
+  EXPECT_EQ(s->HomeOf(0), (std::vector<int>{2, 0}));
+  EXPECT_EQ(s->HomeOf(1), (std::vector<int>{2, 0, 1}));
+  EXPECT_EQ(s->HomeOf(2), (std::vector<int>{0, 1}));
+  EXPECT_EQ(s->HomeOf(3), (std::vector<int>{0}));
+
+  // Input order: op1 takes 0, 1, 2; op2 takes 0, 1; op3 takes 0.
+  options.order = ListOrder::kInputOrder;
+  s = OperatorSchedule(ops, 5, 2, options);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  EXPECT_EQ(s->HomeOf(0), (std::vector<int>{2, 0}));
+  EXPECT_EQ(s->HomeOf(1), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(s->HomeOf(2), (std::vector<int>{0, 1}));
+  EXPECT_EQ(s->HomeOf(3), (std::vector<int>{0}));
 }
 
 TEST(OperatorScheduleTest, MakespanNeverBelowLowerBound) {

@@ -1,6 +1,7 @@
 #include "core/placement_index.h"
 
 #include <algorithm>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -135,11 +136,82 @@ TEST(PlacementIndexTest, ThresholdStraddlingSizesAgree) {
   }
 }
 
-/// Differential property: the indexed and linear OPERATORSCHEDULE paths
-/// produce byte-identical schedules — same clone-to-site mapping in the
-/// same placement order, bit-equal makespan — on random instances at
-/// machine sizes up to P=4096, with and without rooted operators and a
-/// residual base load (the online scheduler's branch).
+/// Reference OPERATORSCHEDULE (Figure 3) for the differential test below:
+/// rooted ops at their homes, the floating clones in stable non-increasing
+/// l(w) order (or input order), each placed on the allowable site of least
+/// l(base[s] + work(s)) by a strict-< scan over all P sites, so ties go to
+/// the lowest index. O(clones * P) per call.
+Schedule LinearOperatorSchedule(const std::vector<ParallelizedOp>& ops,
+                                int num_sites, int dims, ListOrder order,
+                                const std::vector<WorkVector>* base_load) {
+  Schedule schedule(num_sites, dims);
+  schedule.ReserveFor(ops);
+  for (const ParallelizedOp& op : ops) {
+    if (op.rooted) {
+      EXPECT_TRUE(schedule.PlaceRooted(op).ok());
+    }
+  }
+  struct CloneRef {
+    size_t op_index;
+    int clone_idx;
+    double length;
+  };
+  std::vector<CloneRef> list;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].rooted) continue;
+    for (int k = 0; k < ops[i].degree; ++k) {
+      list.push_back({i, k, ops[i].clones[static_cast<size_t>(k)].Length()});
+    }
+  }
+  if (order == ListOrder::kDecreasingLength) {
+    std::stable_sort(list.begin(), list.end(),
+                     [](const CloneRef& a, const CloneRef& b) {
+                       return a.length > b.length;
+                     });
+  }
+  // l(base[s] + work(s)) per site; without a base, l(work(s)).
+  std::vector<WorkVector> combined;
+  std::vector<double> load(static_cast<size_t>(num_sites));
+  if (base_load != nullptr) combined = *base_load;
+  for (int j = 0; j < num_sites; ++j) {
+    const size_t sj = static_cast<size_t>(j);
+    if (base_load != nullptr) {
+      combined[sj] += schedule.SiteLoad(j);
+      load[sj] = combined[sj].Length();
+    } else {
+      load[sj] = schedule.SiteLoadLength(j);
+    }
+  }
+  for (const CloneRef& clone : list) {
+    const ParallelizedOp& op = ops[clone.op_index];
+    int chosen = -1;
+    double chosen_load = std::numeric_limits<double>::infinity();
+    for (int j = 0; j < num_sites; ++j) {
+      if (schedule.HasOpAtSite(op.op_id, j)) continue;  // constraint A
+      if (load[static_cast<size_t>(j)] < chosen_load) {
+        chosen = j;
+        chosen_load = load[static_cast<size_t>(j)];
+      }
+    }
+    EXPECT_GE(chosen, 0) << "no allowable site for op" << op.op_id;
+    EXPECT_TRUE(schedule.Place(op, clone.clone_idx, chosen).ok());
+    const size_t sc = static_cast<size_t>(chosen);
+    if (base_load != nullptr) {
+      combined[sc] += op.clones[static_cast<size_t>(clone.clone_idx)];
+      load[sc] = combined[sc].Length();
+    } else {
+      load[sc] = schedule.SiteLoadLength(chosen);
+    }
+  }
+  return schedule;
+}
+
+/// Differential property: OPERATORSCHEDULE (the indexed engine) produces
+/// byte-identical schedules to the linear reference above — same
+/// clone-to-site mapping in the same placement order, bit-equal makespan —
+/// on random instances at machine sizes up to P=4096, with and without
+/// rooted operators and a residual base load (the online scheduler's
+/// branch).
 class DifferentialPlacementTest
     : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
 
@@ -177,42 +249,41 @@ TEST_P(DifferentialPlacementTest, IndexedMatchesLinearOracle) {
   }
 
   std::vector<WorkVector> base;
-  const bool with_base = rng.Index(2) == 0;
-  if (with_base) {
-    for (int s = 0; s < p; ++s) {
-      WorkVector w(static_cast<size_t>(dims));
-      for (int r = 0; r < dims; ++r) {
-        w[static_cast<size_t>(r)] = static_cast<double>(rng.Index(4));
-      }
-      base.push_back(std::move(w));
+  for (int s = 0; s < p; ++s) {
+    WorkVector w(static_cast<size_t>(dims));
+    for (int r = 0; r < dims; ++r) {
+      w[static_cast<size_t>(r)] = static_cast<double>(rng.Index(4));
     }
+    base.push_back(std::move(w));
   }
 
-  for (ListOrder order : {ListOrder::kDecreasingLength, ListOrder::kInputOrder}) {
-    OperatorScheduleOptions linear;
-    linear.order = order;
-    linear.placement_index = false;
-    linear.base_load = with_base ? &base : nullptr;
-    OperatorScheduleOptions indexed = linear;
-    indexed.placement_index = true;
+  for (bool with_base : {false, true}) {
+    for (ListOrder order :
+         {ListOrder::kDecreasingLength, ListOrder::kInputOrder}) {
+      OperatorScheduleOptions options;
+      options.order = order;
+      options.base_load = with_base ? &base : nullptr;
 
-    auto a = OperatorSchedule(ops, p, dims, linear);
-    auto b = OperatorSchedule(ops, p, dims, indexed);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    ASSERT_TRUE(b->Validate(ops).ok());
-    ASSERT_EQ(a->num_placements(), b->num_placements());
-    for (int i = 0; i < a->num_placements(); ++i) {
-      const ClonePlacement& pa = a->placements()[static_cast<size_t>(i)];
-      const ClonePlacement& pb = b->placements()[static_cast<size_t>(i)];
-      ASSERT_EQ(pa.op_id, pb.op_id) << "P=" << p << " placement " << i;
-      ASSERT_EQ(pa.clone_idx, pb.clone_idx) << "P=" << p << " placement " << i;
-      ASSERT_EQ(pa.site, pb.site)
-          << "P=" << p << " op" << pa.op_id << " clone " << pa.clone_idx
-          << " base=" << with_base;
+      const Schedule a = LinearOperatorSchedule(ops, p, dims, order,
+                                                options.base_load);
+      auto b = OperatorSchedule(ops, p, dims, options);
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      ASSERT_TRUE(a.Validate(ops).ok());
+      ASSERT_TRUE(b->Validate(ops).ok());
+      ASSERT_EQ(a.num_placements(), b->num_placements());
+      for (int i = 0; i < a.num_placements(); ++i) {
+        const ClonePlacement& pa = a.placements()[static_cast<size_t>(i)];
+        const ClonePlacement& pb = b->placements()[static_cast<size_t>(i)];
+        ASSERT_EQ(pa.op_id, pb.op_id) << "P=" << p << " placement " << i;
+        ASSERT_EQ(pa.clone_idx, pb.clone_idx)
+            << "P=" << p << " placement " << i;
+        ASSERT_EQ(pa.site, pb.site)
+            << "P=" << p << " op" << pa.op_id << " clone " << pa.clone_idx
+            << " base=" << with_base;
+      }
+      // Identical placements make every derived quantity bit-equal.
+      ASSERT_EQ(a.Makespan(), b->Makespan());
     }
-    // Identical placements make every derived quantity bit-equal.
-    ASSERT_EQ(a->Makespan(), b->Makespan());
   }
 }
 

@@ -167,7 +167,7 @@ void ExpectIdenticalSchedules(const Schedule& a, const Schedule& b) {
 
 // Differential sweep: OPERATORSCHEDULE must produce byte-identical
 // schedules from compressed and materialized clone sets, across list
-// orders and both site-selection engines.
+// orders and both site-selection rules.
 TEST(CloneSetDifferentialTest, OperatorScheduleIdenticalAfterCompression) {
   const OverlapUsageModel usage(0.5);
   const int num_sites = 12;
@@ -176,10 +176,11 @@ TEST(CloneSetDifferentialTest, OperatorScheduleIdenticalAfterCompression) {
   for (ListOrder order : {ListOrder::kDecreasingLength,
                           ListOrder::kIncreasingLength,
                           ListOrder::kInputOrder, ListOrder::kRandom}) {
-    for (bool indexed : {true, false}) {
+    for (SiteChoice choice :
+         {SiteChoice::kLeastLoaded, SiteChoice::kFirstAllowable}) {
       OperatorScheduleOptions options;
       options.order = order;
-      options.placement_index = indexed;
+      options.site_choice = choice;
       auto a = OperatorSchedule(uniform, num_sites, 3, options);
       auto b = OperatorSchedule(expanded, num_sites, 3, options);
       ASSERT_TRUE(a.ok() && b.ok());
