@@ -4,6 +4,9 @@
 #   build-tsan  MRS_SANITIZE=thread   (ThreadSanitizer)
 #   build-asan  MRS_SANITIZE=address  (AddressSanitizer + UBSan)
 #
+# UBSan is built non-recoverable (-fno-sanitize-recover=undefined, see
+# CMakeLists.txt), so any UBSan report fails the test that triggered it.
+#
 # Each config is configured/built/run in its own tree next to the source
 # checkout, so the regular `build/` directory is untouched. Any extra
 # arguments are forwarded to ctest (e.g. -R BatchFuzz).
@@ -27,10 +30,10 @@
 # completed responses back to the loop thread, synchronized by the task
 # mutex + eventfd wakeup), ThreadPool::Submit carrying request payloads
 # the other way, and the loop thread's exclusive ownership of every
-# connection state machine in between. The reactor-vs-threaded
-# differential runs N concurrent clients against both engines here, so a
-# missing happens-before edge on either handoff shows up as a TSan race
-# on the connection's parser/output buffers.
+# connection state machine in between. The reactor differential runs N
+# concurrent clients here, so a missing happens-before edge on either
+# handoff shows up as a TSan race on the connection's parser/output
+# buffers.
 #
 # Usage: scripts/run_sanitized_tests.sh [ctest args...]
 

@@ -72,17 +72,16 @@ ListScheduleResult AlignedFallback(const TreeScheduleResult& tree,
 /// The greedy virtual-time event loop (steps 1-4 of the header comment),
 /// without either guard. `planner` parallelizes every readiness wave and
 /// carries the options: its `list_options` drive each round's
-/// OPERATORSCHEDULE pass over the validated external base load, and its
-/// trace receives the round spans (null for the shadow baseline runs the
-/// guards make). `pipeline` enables the rate-matched, stage-ordered round
-/// described at ListScheduleOptions::pipeline.
+/// OPERATORSCHEDULE pass, and its trace receives the round spans (null for
+/// the shadow baseline runs the guards make). `pipeline` enables the
+/// rate-matched, stage-ordered round described at
+/// ListScheduleOptions::pipeline.
 Result<ListScheduleResult> GreedyListSchedule(
     PhasePlanner& planner, const OperatorTree& op_tree,
     const TaskTree& task_tree, const std::vector<OperatorCost>& costs,
     const CostParams& params, const OverlapUsageModel& usage, bool pipeline) {
   const MachineConfig& config = planner.machine();
   const OperatorScheduleOptions& list_options = planner.options().list_options;
-  const std::vector<WorkVector>* external = list_options.base_load;
   TraceSink* const trace = planner.options().trace;
   std::unordered_map<int, int> op_task;
   for (const QueryTask& task : task_tree.tasks()) {
@@ -167,11 +166,6 @@ Result<ListScheduleResult> GreedyListSchedule(
         s.AdvanceTo(t);
         for (const SiteTimeline::Resident& r : s.residents()) {
           residual[static_cast<size_t>(j)] += r.remaining;
-        }
-        // External co-resident load is static over the query's horizon.
-        if (external != nullptr) {
-          residual[static_cast<size_t>(j)] +=
-              (*external)[static_cast<size_t>(j)];
         }
       }
 
@@ -372,20 +366,10 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
   if (task_tree.num_tasks() == 0) {
     return Status::InvalidArgument("task tree has no tasks to schedule");
   }
-  const std::vector<WorkVector>* external = options.tree.list_options.base_load;
-  if (external != nullptr) {
-    if (static_cast<int>(external->size()) != config.num_sites) {
-      return Status::InvalidArgument(
-          StrFormat("base_load has %zu sites, machine has %d",
-                    external->size(), config.num_sites));
-    }
-    for (const WorkVector& w : *external) {
-      if (static_cast<int>(w.dim()) != config.dims) {
-        return Status::InvalidArgument(
-            StrFormat("base_load vector has %zu dims, machine has %d",
-                      w.dim(), config.dims));
-      }
-    }
+  // Every round sets its own residual as the base load, so a static one
+  // would reach the tree_guard's TREESCHEDULE but not the greedy rounds.
+  if (options.tree.list_options.base_load != nullptr) {
+    return Status::InvalidArgument("ListSchedule takes no external base_load");
   }
   // The guards' shadow runs are untraced.
   TreeScheduleOptions untraced = options.tree;

@@ -26,15 +26,11 @@ struct ListScheduleOptions {
   /// `tree.list_options` (least-loaded selection then runs over the
   /// *residual* site load at the round's virtual time), and the
   /// tree_guard runs TREESCHEDULE with these options, untraced.
-  /// `tree.list_options.base_load` (optional, not owned) is the external
-  /// residual load: the remaining work of co-resident queries per site,
-  /// treated as static over this query's horizon. It is added into every
-  /// round's residual (so the least-loaded rule avoids busy sites) and
-  /// forwarded to the tree_guard's TREESCHEDULE; it must hold exactly
-  /// num_sites vectors of the machine's dims. `tree.trace` (optional)
-  /// receives one `list_place` span per placement round plus a whole-call
-  /// `list_schedule` span carrying the makespan, the eq. (3) binding term
-  /// of the critical site, and whether the barrier-aligned guard fired.
+  /// `tree.list_options.base_load` must be null: each round supplies its
+  /// own. `tree.trace` (optional) receives one `list_place` span per
+  /// placement round plus a whole-call `list_schedule` span carrying the
+  /// makespan, the eq. (3) binding term of the critical site, and whether
+  /// the barrier-aligned guard fired.
   TreeScheduleOptions tree;
   /// Intra-task pipelined parallelism (arxiv 1403.7729's extension of the
   /// model): treat each ready task as the producer/consumer pipeline the

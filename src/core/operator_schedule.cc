@@ -1,7 +1,6 @@
 #include "core/operator_schedule.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -105,7 +104,7 @@ Result<Schedule> OperatorSchedule(const std::vector<ParallelizedOp>& ops,
 
   // Step 3: place each clone on the least-filled allowable site.
   // Cache l(work(s)) per site (a placement only changes one site's value)
-  // and per-floating-op site occupancy (constraint A lookups in O(1)).
+  // and each floating op's sorted list of used sites (constraint A).
   // With a residual base the cached value is l(base[s] + work(s)): the
   // union load of resident and new clones drives site selection.
   std::vector<WorkVector> combined;
@@ -122,61 +121,36 @@ Result<Schedule> OperatorSchedule(const std::vector<ParallelizedOp>& ops,
       load_length[static_cast<size_t>(j)] = schedule.SiteLoadLength(j);
     }
   }
-  // Site selection runs in one of two modes with pinned-identical output:
-  // the indexed engine descends a tournament tree over load_length with
-  // the operator's already-used sites excluded (O(log P + degree) per
-  // clone, per-op sorted exclusion lists; below
-  // PlacementIndex::kLinearScanMaxSites it scans its leaves instead —
-  // see placement_index.h), while the reference linear scan walks all P
-  // sites (the differential-testing oracle, and the kFirstAllowable
-  // path, which stops within degree+1 steps regardless).
-  const bool indexed = options.placement_index &&
-                       options.site_choice == SiteChoice::kLeastLoaded;
+  // kLeastLoaded descends a tournament tree over load_length with the
+  // op's used sites excluded (O(log P + degree) per clone; below
+  // PlacementIndex::kLinearScanMaxSites it scans its leaves instead, see
+  // placement_index.h). kFirstAllowable takes the lowest unused site.
+  const bool least_loaded = options.site_choice == SiteChoice::kLeastLoaded;
   PlacementIndex index;
-  std::vector<std::vector<int>> used_sorted;
-  std::vector<std::vector<char>> used;
-  if (indexed) {
-    index.Reset(load_length);
-    used_sorted.resize(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      if (!ops[i].rooted) {
-        used_sorted[i].reserve(static_cast<size_t>(ops[i].degree));
-      }
+  if (least_loaded) index.Reset(load_length);
+  std::vector<std::vector<int>> used_sorted(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (!ops[i].rooted) {
+      used_sorted[i].reserve(static_cast<size_t>(ops[i].degree));
     }
-  } else {
-    used.assign(ops.size(),
-                std::vector<char>(static_cast<size_t>(num_sites), 0));
   }
   for (const CloneRef& clone : list) {
     const ParallelizedOp& op = ops[clone.op_index];
-    int chosen = -1;
-    if (indexed) {
-      chosen = index.MinSiteExcluding(used_sorted[clone.op_index]);
+    std::vector<int>& used = used_sorted[clone.op_index];
+    int chosen = 0;
+    if (least_loaded) {
+      chosen = index.MinSiteExcluding(used);
     } else {
-      std::vector<char>& op_used = used[clone.op_index];
-      double chosen_load = std::numeric_limits<double>::infinity();
-      for (int j = 0; j < num_sites; ++j) {
-        if (op_used[static_cast<size_t>(j)]) continue;
-        if (options.site_choice == SiteChoice::kFirstAllowable) {
-          chosen = j;
-          break;
-        }
-        if (load_length[static_cast<size_t>(j)] < chosen_load) {
-          chosen = j;
-          chosen_load = load_length[static_cast<size_t>(j)];
-        }
+      for (int s : used) {
+        if (s != chosen) break;
+        ++chosen;
       }
     }
-    MRS_CHECK(chosen >= 0)
+    MRS_CHECK(chosen >= 0 && chosen < num_sites)
         << "no allowable site for op" << op.op_id
         << " — degree should have been capped at P";
     MRS_RETURN_IF_ERROR(schedule.Place(op, clone.clone_idx, chosen));
-    if (indexed) {
-      std::vector<int>& ex = used_sorted[clone.op_index];
-      ex.insert(std::upper_bound(ex.begin(), ex.end(), chosen), chosen);
-    } else {
-      used[clone.op_index][static_cast<size_t>(chosen)] = 1;
-    }
+    used.insert(std::upper_bound(used.begin(), used.end(), chosen), chosen);
     if (options.base_load != nullptr) {
       combined[static_cast<size_t>(chosen)] +=
           op.clones[static_cast<size_t>(clone.clone_idx)];
@@ -186,7 +160,9 @@ Result<Schedule> OperatorSchedule(const std::vector<ParallelizedOp>& ops,
       load_length[static_cast<size_t>(chosen)] =
           schedule.SiteLoadLength(chosen);
     }
-    if (indexed) index.Update(chosen, load_length[static_cast<size_t>(chosen)]);
+    if (least_loaded) {
+      index.Update(chosen, load_length[static_cast<size_t>(chosen)]);
+    }
   }
   return schedule;
 }

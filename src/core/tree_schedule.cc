@@ -270,16 +270,13 @@ Result<PhaseSchedule> PhasePlanner::NextPhase(
   SpanTimer sched_span(trace, "operator_schedule", k);
   OperatorScheduleOptions list_options = options_.list_options;
   // A per-call base load (the online scheduler's phase-instant residual)
-  // overrides a static one carried in the options (the list engine's
-  // tree_guard forwarding ListScheduleOptions::tree.list_options.base_load).
+  // overrides a static one carried in the options.
   if (base_load != nullptr) list_options.base_load = base_load;
   if (sched_span.active()) {
-    // Which site-selection engine ran (see OperatorScheduleOptions::
-    // placement_index) — the schedules are pinned byte-identical, so this
-    // only matters for performance forensics.
+    // Which site-selection path ran: the placement index serves
+    // kLeastLoaded, a scan of the op's own sites serves kFirstAllowable.
     sched_span.Attr("placement",
-                    list_options.placement_index &&
-                            list_options.site_choice == SiteChoice::kLeastLoaded
+                    list_options.site_choice == SiteChoice::kLeastLoaded
                         ? "indexed"
                         : "linear");
   }

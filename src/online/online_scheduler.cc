@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/str_util.h"
-#include "core/list_schedule.h"
 #include "core/site_timeline.h"
 #include "cost/cost_model.h"
 #include "plan/operator_tree.h"
@@ -170,26 +169,13 @@ uint64_t OnlineScheduler::Submit(const PlanTree& plan, double arrival_ms,
   TreeScheduleOptions est_options = options_.tree;
   est_options.cache = options_.use_cost_cache ? &cache_ : nullptr;
   est_options.trace = nullptr;
-  if (options_.engine == OnlineEngine::kList) {
-    ListScheduleOptions list_options;
-    list_options.tree = est_options;
-    list_options.tree.list_options.base_load = nullptr;
-    auto estimate = ListSchedule(*rec->ops, *rec->task_tree, rec->costs,
-                                 params_, machine_, usage_, list_options);
-    if (!estimate.ok()) {
-      FinalizeRejected(rec, estimate.status(), OnlineQueryState::kRejected);
-      return id;
-    }
-    rec->result.expected_makespan_ms = estimate->makespan;
-  } else {
-    auto estimate = TreeSchedule(*rec->ops, *rec->task_tree, rec->costs,
-                                 params_, machine_, usage_, est_options);
-    if (!estimate.ok()) {
-      FinalizeRejected(rec, estimate.status(), OnlineQueryState::kRejected);
-      return id;
-    }
-    rec->result.expected_makespan_ms = estimate->response_time;
+  auto estimate = TreeSchedule(*rec->ops, *rec->task_tree, rec->costs,
+                               params_, machine_, usage_, est_options);
+  if (!estimate.ok()) {
+    FinalizeRejected(rec, estimate.status(), OnlineQueryState::kRejected);
+    return id;
   }
+  rec->result.expected_makespan_ms = estimate->response_time;
   for (const PhysicalOp& op : rec->ops->ops()) {
     if (MaterializesState(op.kind)) {
       rec->result.memory_estimate_bytes +=
@@ -239,11 +225,6 @@ void OnlineScheduler::AdmitQuery(QueryRec* rec) {
   queue_wait_hist_->Record(now_ - rec->result.arrival_ms);
   admission_.OnAdmitted(RequestOf(*rec));
   UpdateGauges();
-
-  if (options_.engine == OnlineEngine::kList) {
-    PlaceListSchedule(rec);
-    return;
-  }
 
   TreeScheduleOptions tree_options = options_.tree;
   tree_options.cache = options_.use_cost_cache ? &cache_ : nullptr;
@@ -349,84 +330,6 @@ void OnlineScheduler::PlaceNextPhase(QueryRec* rec) {
 
   rec->fully_placed = rec->planner->done();
   PushEvent(now_ + barrier, Event::kPhaseDone, rec->result.id);
-}
-
-void OnlineScheduler::PlaceListSchedule(QueryRec* rec) {
-  RetireThrough(now_);
-  bool any_resident = false;
-  for (const auto& site : resident_) {
-    if (!site.empty()) {
-      any_resident = true;
-      break;
-    }
-  }
-  // A null base on an idle machine keeps every placement round on the
-  // exact offline ListSchedule code path.
-  std::vector<WorkVector> base;
-  const std::vector<WorkVector>* base_ptr = nullptr;
-  if (any_resident) {
-    base = ResidualLoadAt(now_);
-    base_ptr = &base;
-  }
-
-  ListScheduleOptions list_options;
-  list_options.tree = options_.tree;
-  list_options.tree.cache = options_.use_cost_cache ? &cache_ : nullptr;
-  list_options.tree.trace = rec->result.trace.get();
-  list_options.tree.list_options.base_load = base_ptr;
-  auto list = ListSchedule(*rec->ops, *rec->task_tree, rec->costs, params_,
-                           machine_, usage_, list_options);
-  if (!list.ok()) {
-    AbortQuery(rec, list.status());
-    return;
-  }
-
-  SpanTimer place_span(rec->result.trace.get(), "online_place_list");
-
-  // Staggered reservations: each clone occupies its own [start, finish)
-  // window of the shared virtual clock, so later arrivals see its linearly
-  // decaying remaining work only while it is actually mid-flight.
-  const auto& placements = list->schedule.placements();
-  double serial = 0.0;
-  for (size_t i = 0; i < placements.size(); ++i) {
-    const ClonePlacement& p = placements[i];
-    resident_[static_cast<size_t>(p.site)].push_back(
-        ResidentClone{rec->result.id, p.work, p.t_seq, now_ + p.start,
-                      now_ + list->clone_finish[i]});
-    serial += p.t_seq;
-  }
-  const double makespan = list->makespan;
-
-  // One whole-query timing record. The list makespan already reflects the
-  // barrier-free timeline; residual load steered placement but does not
-  // stretch durations, so contended == uncontended here, and the serial
-  // bound is the run-everything-sequentially time of the query's clones.
-  OnlinePhaseTiming timing;
-  timing.phase = 0;
-  timing.start_ms = now_;
-  timing.finish_ms = now_ + makespan;
-  timing.uncontended_ms = makespan;
-  timing.serial_bound_ms = serial;
-  rec->result.timings.push_back(timing);
-
-  const int rounds = list->rounds;
-  const bool fell_back = list->used_tree_fallback;
-  PhaseSchedule placed{/*phase=*/0, std::move(list->ops),
-                       std::move(list->schedule), makespan};
-  rec->result.schedule.phases.push_back(std::move(placed));
-  rec->result.schedule.response_time = makespan;
-
-  if (place_span.active()) {
-    place_span.AttrInt("rounds", rounds);
-    place_span.AttrInt("tree_fallback", fell_back ? 1 : 0);
-    place_span.AttrDouble("start_ms", timing.start_ms);
-    place_span.AttrDouble("duration_ms", makespan);
-    place_span.AttrDouble("serial_bound_ms", serial);
-  }
-  place_span.End();
-
-  rec->fully_placed = true;
-  PushEvent(now_ + makespan, Event::kPhaseDone, rec->result.id);
 }
 
 void OnlineScheduler::CompleteQuery(QueryRec* rec, double at_ms) {

@@ -20,23 +20,6 @@
 
 namespace mrs {
 
-/// Per-query scheduling engine of the online scheduler.
-enum class OnlineEngine {
-  /// Phased TREESCHEDULE: phases are placed one at a time against the
-  /// residual load, and contended completions are predicted by eq. (2)
-  /// over each touched site's residents plus new clones (the default).
-  kTree,
-  /// Barrier-free LISTSCHEDULE: the whole query is scheduled one-shot at
-  /// admission with the residual-load snapshot threaded through
-  /// ListScheduleOptions::tree.list_options.base_load, so the
-  /// least-loaded rule steers every placement round away from busy sites.
-  /// Clone start/finish times become staggered reservations on the
-  /// virtual clock and the query completes at its list makespan. The
-  /// snapshot biases *placement* only — durations are not re-stretched by
-  /// later arrivals, matching the non-preemptive reservation model.
-  kList,
-};
-
 struct OnlineSchedulerOptions {
   /// Overlap epsilon of the usage model (EA2) used for costing and
   /// placement.
@@ -44,19 +27,7 @@ struct OnlineSchedulerOptions {
   int num_disks = 1;
   /// Per-query TREESCHEDULE knobs. `cache` and `trace` are managed by the
   /// scheduler itself (see use_cost_cache / collect_traces) and ignored.
-  /// `tree.list_options.placement_index` selects the indexed placement
-  /// engine for the residual-load OPERATORSCHEDULE path too (the
-  /// base_load branch re-run per phase of every admitted query) — with P
-  /// sites and MPL resident queries that path is the hot loop of the
-  /// service, and the indexed and linear engines are pinned to produce
-  /// byte-identical placements.
   TreeScheduleOptions tree;
-  /// Engine each admitted query is scheduled with. Both engines share the
-  /// `tree` knobs (the list engine takes them as ListScheduleOptions::tree);
-  /// the admission-time makespan estimate uses the selected engine too, so the
-  /// documented "equals the contended response time when the query runs
-  /// alone" property holds for either.
-  OnlineEngine engine = OnlineEngine::kTree;
   AdmissionOptions admission;
   /// Share one memoized parallelize cache across all queries.
   bool use_cost_cache = true;
@@ -240,7 +211,6 @@ class OnlineScheduler {
   void PushEvent(double time, Event::Kind kind, uint64_t query);
   void AdmitQuery(QueryRec* rec);
   void PlaceNextPhase(QueryRec* rec);
-  void PlaceListSchedule(QueryRec* rec);
   void CompleteQuery(QueryRec* rec, double at_ms);
   void AbortQuery(QueryRec* rec, Status status);
   void FinalizeRejected(QueryRec* rec, Status status, OnlineQueryState state);

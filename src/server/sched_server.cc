@@ -63,7 +63,7 @@ struct SchedServer::Reactor {
     std::deque<std::pair<std::string, Clock::time_point>> requests;
     /// True while one request from this connection is inside the worker
     /// pool. One at a time keeps responses in request order — the wire
-    /// contract the threaded oracle also provides.
+    /// contract ServeConnection's blocking loop also provides.
     bool busy = false;
     /// No more reads: peer EOF, protocol fault pending, or server drain.
     bool read_eof = false;
@@ -125,7 +125,7 @@ struct SchedServer::Reactor {
     draining = true;
     loop.Remove(listen_fd);
     // Stop reading everywhere. Bytes the kernel already buffered but the
-    // loop has not parsed are dropped — exactly the threaded oracle's
+    // loop has not parsed are dropped — exactly ServeConnection's
     // ShutdownRead semantics; requests fully *parsed* are still answered.
     std::vector<std::shared_ptr<Conn>> snapshot;
     snapshot.reserve(conns.size());
@@ -232,8 +232,8 @@ struct SchedServer::Reactor {
     if (n == 0) {
       c->read_eof = true;
       if (c->parser.MidFrame()) {
-        // Stream ended inside a frame: the threaded oracle's ReadFrame
-        // calls this corruption and drops the connection; so do we.
+        // Stream ended inside a frame: ReadFrame (ServeConnection) calls
+        // this corruption and drops the connection; so do we.
         metrics().protocol_errors->Increment();
         CloseConn(c);
         return;
@@ -288,8 +288,8 @@ struct SchedServer::Reactor {
   void Enqueue(const std::shared_ptr<Conn>& c, std::string response,
                Clock::time_point t0) {
     if (response.size() > kMaxFrameBytes) {
-      // The sender refuses to emit what the parser would reject; the
-      // threaded oracle's SendFrame fails the same way and the
+      // The sender refuses to emit what the parser would reject;
+      // SendFrame (ServeConnection) fails the same way and the
       // connection drops without a response.
       metrics().protocol_errors->Increment();
       CloseConn(c);
@@ -344,8 +344,8 @@ struct SchedServer::Reactor {
       }
       // sendmsg instead of writev for MSG_NOSIGNAL: a peer that resets
       // while responses are queued must surface as EPIPE on this
-      // connection, not a process-fatal SIGPIPE (the threaded engine's
-      // send in transport.cc carries the same flag).
+      // connection, not a process-fatal SIGPIPE (SocketConnection's send
+      // in transport.cc carries the same flag).
       msghdr msg{};
       msg.msg_iov = iov;
       msg.msg_iovlen = static_cast<size_t>(iovcnt);
@@ -423,44 +423,18 @@ Status SchedServer::Start(const std::string& host, int port) {
   if (started_) return Status::FailedPrecondition("server already started");
   MRS_RETURN_IF_ERROR(listener_.Listen(host, port));
   started_ = true;
-  if (options_.reactor) {
-    reactor_ = std::make_unique<Reactor>(this);
-    Status reactor_up = reactor_->Start(listener_.raw_fd());
-    if (!reactor_up.ok()) {
-      reactor_.reset();
-      listener_.Close();
-      started_ = false;
-      return reactor_up;
-    }
-    return Status::OK();
+  reactor_ = std::make_unique<Reactor>(this);
+  Status reactor_up = reactor_->Start(listener_.raw_fd());
+  if (!reactor_up.ok()) {
+    reactor_.reset();
+    listener_.Close();
+    started_ = false;
+    return reactor_up;
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }
 
 int SchedServer::port() const { return listener_.port(); }
-
-void SchedServer::AcceptLoop() {
-  while (!shutting_down()) {
-    auto conn = listener_.Accept();
-    if (!conn.ok()) {
-      if (conn.status().code() == StatusCode::kUnavailable) {
-        // EMFILE/ENFILE-style pressure: survive it. Back off so the
-        // retry isn't a busy loop against an exhausted fd table.
-        metrics_.accept_errors->Increment();
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            options_.accept_backoff_ms));
-        continue;
-      }
-      break;  // listener closed (shutdown) or fatal
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutting_down()) break;  // drop the late arrival
-    Connection* raw = conn->get();
-    owned_.push_back(std::move(conn).value());
-    conn_threads_.emplace_back([this, raw] { ServeConnection(raw); });
-  }
-}
 
 void SchedServer::Register(Connection* conn) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -505,22 +479,10 @@ void SchedServer::Shutdown() {
     reactor_->DrainAndJoin();
   }
   listener_.Close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  std::vector<std::thread> to_join;
   {
     std::unique_lock<std::mutex> lock(mu_);
     for (Connection* conn : live_) conn->ShutdownRead();
     idle_cv_.wait(lock, [this] { return live_.empty(); });
-    to_join.swap(conn_threads_);
-  }
-  for (std::thread& t : to_join) {
-    if (t.joinable()) t.join();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& conn : owned_) conn->Close();
-    owned_.clear();
   }
   // Destroys the worker pool (drains any orphaned Handle calls) and then
   // the stopped loop. After this, no thread of ours exists.

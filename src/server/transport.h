@@ -1,7 +1,6 @@
 #ifndef MRS_SERVER_TRANSPORT_H_
 #define MRS_SERVER_TRANSPORT_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <utility>
@@ -52,8 +51,7 @@ Result<std::unique_ptr<Connection>> ConnectTcp(const std::string& host,
 /// Sets or clears O_NONBLOCK on `fd`.
 Status SetNonBlocking(int fd, bool nonblocking);
 
-/// A listening TCP socket. Close() (from any thread) unblocks a pending
-/// Accept, which then returns an error.
+/// A listening TCP socket; the reactor front-end accepts on raw_fd().
 class SocketListener {
  public:
   SocketListener() = default;
@@ -65,15 +63,6 @@ class SocketListener {
   /// from port()).
   Status Listen(const std::string& host, int port);
 
-  /// Blocking accept. Error taxonomy (the accept loop depends on it):
-  ///   FailedPrecondition  the listener was Close()d — stop accepting;
-  ///   Unavailable         transient resource pressure (EMFILE/ENFILE/
-  ///                       ENOBUFS/ENOMEM) — count it, back off, retry;
-  ///   Internal            anything else — genuinely broken.
-  /// Per-connection aborts (ECONNABORTED) and EINTR are retried
-  /// internally and never surface.
-  Result<std::unique_ptr<Connection>> Accept();
-
   void Close();
 
   int port() const { return port_; }
@@ -81,12 +70,10 @@ class SocketListener {
   /// The raw listening fd (-1 after Close). The reactor front-end owns
   /// accept directly: it switches the fd to nonblocking and registers it
   /// with the event loop; the listener still owns closing it.
-  int raw_fd() const { return fd_.load(std::memory_order_acquire); }
+  int raw_fd() const { return fd_; }
 
  private:
-  // Close() runs concurrently with a blocked Accept(); the fd slot itself
-  // must be a synchronized handoff (the kernel handles the syscall side).
-  std::atomic<int> fd_{-1};
+  int fd_ = -1;
   int port_ = 0;
 };
 

@@ -312,37 +312,29 @@ TEST(ListScheduleTest, SingleSiteMachineWorks) {
   for (const ParallelizedOp& op : list.ops) EXPECT_EQ(op.degree, 1);
 }
 
-// --- External base load: one field, honored by every round and the guard.
+// --- External base load: rejected, not silently ignored by the rounds.
 
 TEST(ListScheduleTest, ListOptionsBaseLoadReachesRoundsAndGuard) {
-  // list_options.base_load steers the greedy rounds (placements move off
-  // the loaded sites) and is the same load the tree_guard's TREESCHEDULE
-  // sees (its response time equals a direct TreeSchedule call's).
+  // Every round sets its own residual as the base load, so a static
+  // list_options.base_load would reach only the tree_guard's TREESCHEDULE.
+  // ListSchedule refuses it, with or without the guard.
   PlanFixture fx = BushyFourWayFixture();
   MachineConfig machine = Machine(6);
   std::vector<WorkVector> load(
       static_cast<size_t>(machine.num_sites),
       WorkVector(static_cast<size_t>(machine.dims)));
   load[0] = WorkVector({50.0, 20.0, 10.0});
-  load[1] = WorkVector({40.0, 25.0, 5.0});
   OverlapUsageModel usage(0.5);
 
-  ListScheduleOptions loaded;
-  loaded.tree.list_options.base_load = &load;
-  auto with_load = ListSchedule(fx.op_tree, fx.task_tree, fx.costs,
-                                CostParams{}, machine, usage, loaded);
-  ASSERT_TRUE(with_load.ok()) << with_load.status().ToString();
-  auto idle = ListSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
-                           machine, usage);
-  ASSERT_TRUE(idle.ok()) << idle.status().ToString();
-  EXPECT_NE(ListScheduleToJson(*with_load), ListScheduleToJson(*idle));
-
-  TreeScheduleOptions tree_options;
-  tree_options.list_options.base_load = &load;
-  auto tree = TreeSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
-                           machine, usage, tree_options);
-  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-  EXPECT_EQ(with_load->tree_response_time, tree->response_time);
+  for (bool guard : {true, false}) {
+    ListScheduleOptions loaded;
+    loaded.tree_guard = guard;
+    loaded.tree.list_options.base_load = &load;
+    auto with_load = ListSchedule(fx.op_tree, fx.task_tree, fx.costs,
+                                  CostParams{}, machine, usage, loaded);
+    EXPECT_EQ(with_load.status().code(), StatusCode::kInvalidArgument)
+        << with_load.status().ToString();
+  }
 }
 
 // --- Pipelined mode: rate matching + co-residency under the guard. ---

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "common/rng.h"
-#include "core/list_schedule.h"
 #include "core/tree_schedule.h"
 #include "exec/fluid_simulator.h"
 #include "io/schedule_export.h"
@@ -68,34 +67,6 @@ TEST(OnlineSchedulerTest, IdleSystemMatchesOfflineByteForByte) {
     EXPECT_DOUBLE_EQ(r->timings[k].uncontended_ms,
                      offline.phases[k].makespan);
   }
-}
-
-TEST(OnlineSchedulerTest, PlacementIndexMatchesLinearOnResidualPath) {
-  // The placement-index switch threads through the online service's
-  // residual-load branch: an overlapping multi-query workload placed with
-  // the indexed engine must produce byte-identical schedule JSON to the
-  // linear-scan oracle, phase by phase, while residents actually contend.
-  PlanFixture fa = BushyFourWayFixture();
-  PlanFixture fb = PipelinedChainFixture(3);
-  MachineConfig machine;
-
-  auto run = [&](bool use_index) {
-    MetricsRegistry metrics;
-    OnlineSchedulerOptions options;
-    options.metrics = &metrics;
-    options.tree.list_options.placement_index = use_index;
-    OnlineScheduler sched(CostParams{}, machine, options);
-    const uint64_t a = sched.Submit(*fa.plan, 0.0);
-    // Overlap: B arrives while A's clones are resident.
-    const uint64_t b = sched.Submit(*fb.plan, 0.5);
-    EXPECT_TRUE(sched.Drain().ok());
-    const OnlineQueryResult* ra = sched.result(a);
-    const OnlineQueryResult* rb = sched.result(b);
-    EXPECT_EQ(ra->state, OnlineQueryState::kDone);
-    EXPECT_EQ(rb->state, OnlineQueryState::kDone);
-    return TreeScheduleToJson(ra->schedule) + TreeScheduleToJson(rb->schedule);
-  };
-  EXPECT_EQ(run(true), run(false));
 }
 
 TEST(OnlineSchedulerTest, DisjointCapacityKeepsSingleQueryMakespans) {
@@ -610,109 +581,25 @@ TEST(OnlineSchedulerTest, ResolveUnknownQueryIsNotFound) {
   EXPECT_FALSE(sched.Resolved(42));
 }
 
-TEST(OnlineSchedulerTest, ListEngineIdleMatchesOfflineListSchedule) {
-  PlanFixture fx = BushyFourWayFixture();
-  MachineConfig machine;
-  OverlapUsageModel usage(0.5);
-  auto offline = ListSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
-                              machine, usage, ListScheduleOptions{});
-  ASSERT_TRUE(offline.ok()) << offline.status().ToString();
-
-  MetricsRegistry metrics;
-  OnlineSchedulerOptions options;
-  options.metrics = &metrics;
-  options.engine = OnlineEngine::kList;
-  OnlineScheduler sched(CostParams{}, machine, options);
-  const uint64_t id = sched.Submit(*fx.plan);
-  ASSERT_TRUE(sched.ResolveQuery(id).ok());
-  const OnlineQueryResult* r = sched.result(id);
-  ASSERT_NE(r, nullptr);
-  ASSERT_TRUE(sched.Drain().ok());
-  EXPECT_EQ(r->state, OnlineQueryState::kDone);
-  // One-shot placement: a single whole-query "phase" whose duration is the
-  // barrier-free makespan, matching the offline ListSchedule exactly on an
-  // idle machine.
-  ASSERT_EQ(r->schedule.phases.size(), 1u);
-  EXPECT_EQ(r->schedule.response_time, offline->makespan);
-  EXPECT_EQ(r->expected_makespan_ms, offline->makespan);
-  EXPECT_EQ(r->finish_ms - r->admit_ms, offline->makespan);
-  ASSERT_EQ(r->timings.size(), 1u);
-  EXPECT_EQ(r->timings[0].DurationMs(), offline->makespan);
-}
-
-TEST(OnlineSchedulerTest, ListEngineNeverWorseThanTreeWhenIdle) {
-  // tree_guard makes the per-query LISTSCHEDULE result never exceed the
-  // TREESCHEDULE response time; on an idle machine the online response
-  // times inherit the invariant.
-  for (auto make : {+[] { return BushyFourWayFixture(); },
-                    +[] { return PipelinedChainFixture(5); }}) {
-    PlanFixture fx = make();
-    MachineConfig machine;
-    double response[2];
-    int i = 0;
-    for (const OnlineEngine engine :
-         {OnlineEngine::kTree, OnlineEngine::kList}) {
-      MetricsRegistry metrics;
-      OnlineSchedulerOptions options;
-      options.metrics = &metrics;
-      options.engine = engine;
-      OnlineScheduler sched(CostParams{}, machine, options);
-      const uint64_t id = sched.Submit(*fx.plan);
-      ASSERT_TRUE(sched.ResolveQuery(id).ok());
-      ASSERT_TRUE(sched.Drain().ok());
-      response[i++] = sched.result(id)->schedule.response_time;
-    }
-    EXPECT_LE(response[1], response[0]);
-  }
-}
-
 TEST(OnlineSchedulerTest, EnginesAreRunToRunDeterministic) {
   // The same overlapping workload, submitted twice to a fresh scheduler,
-  // must produce byte-identical schedules — for the default engine (the
-  // historical TREESCHEDULE path) and for the LISTSCHEDULE engine.
+  // must produce byte-identical schedules.
   PlanFixture fa = BushyFourWayFixture();
   PlanFixture fb = PipelinedChainFixture(3);
   MachineConfig machine;
-  for (const OnlineEngine engine :
-       {OnlineEngine::kTree, OnlineEngine::kList}) {
-    auto run = [&] {
-      MetricsRegistry metrics;
-      OnlineSchedulerOptions options;
-      options.metrics = &metrics;
-      options.engine = engine;
-      OnlineScheduler sched(CostParams{}, machine, options);
-      const uint64_t a = sched.Submit(*fa.plan, 0.0);
-      const uint64_t b = sched.Submit(*fb.plan, 0.5);
-      EXPECT_TRUE(sched.Drain().ok());
-      EXPECT_TRUE(sched.CheckInvariants().ok());
-      return TreeScheduleToJson(sched.result(a)->schedule) +
-             TreeScheduleToJson(sched.result(b)->schedule);
-    };
-    EXPECT_EQ(run(), run());
-  }
-}
-
-TEST(OnlineSchedulerTest, ListEngineContendedRunDrainsCleanly) {
-  PlanFixture fa = BushyFourWayFixture();
-  PlanFixture fb = PipelinedChainFixture(4);
-  MachineConfig machine;
-  MetricsRegistry metrics;
-  OnlineSchedulerOptions options;
-  options.metrics = &metrics;
-  options.engine = OnlineEngine::kList;
-  OnlineScheduler sched(CostParams{}, machine, options);
-  const uint64_t a = sched.Submit(*fa.plan, 0.0);
-  const uint64_t b = sched.Submit(*fb.plan, 0.25);
-  ASSERT_TRUE(sched.CheckInvariants().ok());
-  ASSERT_TRUE(sched.Drain().ok());
-  EXPECT_EQ(sched.result(a)->state, OnlineQueryState::kDone);
-  EXPECT_EQ(sched.result(b)->state, OnlineQueryState::kDone);
-  ASSERT_TRUE(sched.CheckInvariants().ok());
-  for (const WorkVector& w : sched.ResidualLoad()) {
-    for (size_t d = 0; d < w.dim(); ++d) {
-      EXPECT_EQ(w[d], 0.0) << "residual load left behind";
-    }
-  }
+  auto run = [&] {
+    MetricsRegistry metrics;
+    OnlineSchedulerOptions options;
+    options.metrics = &metrics;
+    OnlineScheduler sched(CostParams{}, machine, options);
+    const uint64_t a = sched.Submit(*fa.plan, 0.0);
+    const uint64_t b = sched.Submit(*fb.plan, 0.5);
+    EXPECT_TRUE(sched.Drain().ok());
+    EXPECT_TRUE(sched.CheckInvariants().ok());
+    return TreeScheduleToJson(sched.result(a)->schedule) +
+           TreeScheduleToJson(sched.result(b)->schedule);
+  };
+  EXPECT_EQ(run(), run());
 }
 
 TEST(OnlineQueryStateTest, Names) {

@@ -1,5 +1,5 @@
 // Adversarial-connection and differential coverage for the epoll reactor
-// front-end (server/sched_server.cc, SchedServerOptions::reactor):
+// front-end (server/sched_server.cc):
 //
 //  * responses byte-identical to ground truth: the transform service's
 //    expected bytes for N concurrent clients (mixed payload sizes forcing
@@ -14,8 +14,8 @@
 //    error (server.backlog_closed) instead of wedging the loop;
 //  * peers that RST with responses queued must not kill the process
 //    (the write path's MSG_NOSIGNAL vs SIGPIPE regression);
-//  * accept-loop survival under RLIMIT_NOFILE pressure (EMFILE), both
-//    engines — the `fast`-label smoke for ulimit -n.
+//  * accept survival under RLIMIT_NOFILE pressure (EMFILE) — the
+//    `fast`-label smoke for ulimit -n.
 
 #include <arpa/inet.h>
 #include <dirent.h>
@@ -96,9 +96,8 @@ class BigService : public SchedService {
   }
 };
 
-SchedServerOptions ReactorOptions(MetricsRegistry* metrics, bool reactor) {
+SchedServerOptions ReactorOptions(MetricsRegistry* metrics) {
   SchedServerOptions options;
-  options.reactor = reactor;
   options.metrics = metrics;
   return options;
 }
@@ -118,13 +117,13 @@ std::vector<std::string> RequestStream(int client_id) {
   return requests;
 }
 
-/// Runs `clients` concurrent TCP clients against a fresh server of the
-/// given engine, each sending its RequestStream strictly
-/// request-by-request, and returns the per-client response sequences.
-std::vector<std::vector<std::string>> RunClients(bool reactor, int clients) {
+/// Runs `clients` concurrent TCP clients against a fresh server, each
+/// sending its RequestStream strictly request-by-request, and returns the
+/// per-client response sequences.
+std::vector<std::vector<std::string>> RunClients(int clients) {
   MetricsRegistry metrics;
   TransformService service;
-  SchedServer server(&service, ReactorOptions(&metrics, reactor));
+  SchedServer server(&service, ReactorOptions(&metrics));
   Status started = server.Start("127.0.0.1", 0);
   EXPECT_TRUE(started.ok()) << started.ToString();
 
@@ -150,7 +149,7 @@ std::vector<std::vector<std::string>> RunClients(bool reactor, int clients) {
 
 TEST(ReactorDifferentialTest, ConcurrentClientsByteIdenticalToThreadedOracle) {
   constexpr int kClients = 6;
-  const auto responses = RunClients(/*reactor=*/true, kClients);
+  const auto responses = RunClients(kClients);
   ASSERT_EQ(responses.size(), static_cast<size_t>(kClients));
   for (int i = 0; i < kClients; ++i) {
     const std::vector<std::string> requests = RequestStream(i);
@@ -188,7 +187,7 @@ TEST(ReactorDifferentialTest, RealServiceByteIdenticalToThreadedOracle) {
 
   MetricsRegistry metrics;
   auto service = make_service(&metrics);
-  SchedServer server(service.get(), ReactorOptions(&metrics, true));
+  SchedServer server(service.get(), ReactorOptions(&metrics));
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
   auto client = SchedClient::ConnectTcp("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -207,7 +206,7 @@ TEST(ReactorDifferentialTest, RealServiceByteIdenticalToThreadedOracle) {
 TEST(ReactorAdversarialTest, SlowLorisByteAtATimeFrameIsServed) {
   MetricsRegistry metrics;
   TransformService service;
-  SchedServer server(&service, ReactorOptions(&metrics, true));
+  SchedServer server(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
 
   auto conn = ConnectTcp("127.0.0.1", server.port());
@@ -229,7 +228,7 @@ TEST(ReactorAdversarialTest, SlowLorisByteAtATimeFrameIsServed) {
 TEST(ReactorAdversarialTest, PipelinedFramesAnswerInOrder) {
   MetricsRegistry metrics;
   TransformService service;
-  SchedServer server(&service, ReactorOptions(&metrics, true));
+  SchedServer server(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
 
   auto conn = ConnectTcp("127.0.0.1", server.port());
@@ -258,7 +257,7 @@ TEST(ReactorAdversarialTest, PipelinedFramesAnswerInOrder) {
 TEST(ReactorAdversarialTest, MidFrameDisconnectLeavesLoopServing) {
   MetricsRegistry metrics;
   TransformService service;
-  SchedServer server(&service, ReactorOptions(&metrics, true));
+  SchedServer server(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
 
   {
@@ -287,7 +286,7 @@ TEST(ReactorAdversarialTest, MidFrameDisconnectLeavesLoopServing) {
 TEST(ReactorAdversarialTest, OversizedFrameRejectedWithoutTearingDownLoop) {
   MetricsRegistry metrics;
   TransformService service;
-  SchedServer server(&service, ReactorOptions(&metrics, true));
+  SchedServer server(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
 
   auto attacker = ConnectTcp("127.0.0.1", server.port());
@@ -314,7 +313,7 @@ TEST(ReactorAdversarialTest, ShutdownDrainsResponseStillBeingComputed) {
   MetricsRegistry metrics;
   SlowService service;
   auto server =
-      std::make_unique<SchedServer>(&service, ReactorOptions(&metrics, true));
+      std::make_unique<SchedServer>(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server->Start("127.0.0.1", 0).ok());
 
   auto conn = ConnectTcp("127.0.0.1", server->port());
@@ -337,7 +336,7 @@ TEST(ReactorAdversarialTest, ShutdownDrainsResponseStillBeingComputed) {
 TEST(ReactorAdversarialTest, WriteBacklogCapClosesStoppedReader) {
   MetricsRegistry metrics;
   BigService service;
-  SchedServerOptions options = ReactorOptions(&metrics, true);
+  SchedServerOptions options = ReactorOptions(&metrics);
   options.max_write_backlog_bytes = 64 * 1024;
   SchedServer server(&service, options);
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
@@ -379,7 +378,7 @@ TEST(ReactorAdversarialTest, AbortingPeerWithQueuedResponsesDoesNotKillServer) {
   // abort with an RST (SO_LINGER {on, 0}) mid-response.
   MetricsRegistry metrics;
   BigService service;
-  SchedServer server(&service, ReactorOptions(&metrics, true));
+  SchedServer server(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
 
   for (int round = 0; round < 10; ++round) {
@@ -462,13 +461,13 @@ struct FdLimitGuard {
 /// with the fd table nearly exhausted, accept fails with EMFILE; the
 /// server must count it, back off, keep serving existing connections, and
 /// recover once descriptors free up.
-void RunFdExhaustion(bool reactor) {
+TEST(ReactorAdversarialTest, ReactorAcceptSurvivesFdExhaustion) {
   const int used = CountOpenFds();
   ASSERT_GT(used, 0);
   FdLimitGuard guard;
   MetricsRegistry metrics;
   TransformService service;
-  SchedServer server(&service, ReactorOptions(&metrics, reactor));
+  SchedServer server(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
 
   auto survivor = SchedClient::ConnectTcp("127.0.0.1", server.port());
@@ -530,18 +529,10 @@ void RunFdExhaustion(bool reactor) {
   EXPECT_GE(metrics.Snapshot().CounterValue("server.accept_errors"), 1u);
 }
 
-TEST(ReactorAdversarialTest, ReactorAcceptSurvivesFdExhaustion) {
-  RunFdExhaustion(/*reactor=*/true);
-}
-
-TEST(ReactorAdversarialTest, ThreadedAcceptSurvivesFdExhaustion) {
-  RunFdExhaustion(/*reactor=*/false);
-}
-
 TEST(ReactorMetricsTest, CountersAndGaugesTrackTraffic) {
   MetricsRegistry metrics;
   TransformService service;
-  SchedServer server(&service, ReactorOptions(&metrics, true));
+  SchedServer server(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
 
   auto client = SchedClient::ConnectTcp("127.0.0.1", server.port());
