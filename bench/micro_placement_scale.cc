@@ -5,8 +5,8 @@
 // tournament-tree placement index) over several trials, reporting the
 // minimum (same reasoning as micro_trace_overhead). Half the
 // configurations carry a random residual base load, exercising the online
-// scheduler's branch. Placement identity with the linear reference scan
-// is pinned in tests/core/placement_index_test.cc, not here.
+// scheduler's branch. tests/core/placement_index_test.cc pins the
+// placements it times against a linear reference scan.
 //
 // Output: one JSON object per line (scripts/run_benches.sh collects them
 // as BENCH_placement.json), e.g.

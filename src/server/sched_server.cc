@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <deque>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
